@@ -131,40 +131,56 @@ def hub_gap(t, params: ModelParams, topo: StarlikeTopology):
     return d[..., 0] - phi_hub(d[..., 1], params, topo.branching[0])
 
 
-def tail_state_of_hub(d1: float, params: ModelParams, topo: StarlikeTopology,
+def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology,
                       t_min: float = 1e-14) -> np.ndarray:
-    """Tail-curve state whose hub value equals d1, on the first rising branch.
+    """Tail-curve states whose hub values equal d1, on the first rising branch.
 
-    Inverts t -> d1_curve(t) by bracketed bisection starting from t_min and
-    expanding geometrically; used to express the tail composition as a
-    function of the hub coordinate.
+    Inverts t -> d1_curve(t) for every target at once.  Each target is
+    bracketed between t_min and the first point of the geometric grid
+    t_min * 1.5^j (capped at 1) where the curve is finite and reaches it,
+    then all targets are bisected together to width 1e-15.  Used to express
+    the tail composition as a function of the hub coordinate.  Scalar d1
+    gives a (k,) state, an array of shape s gives s + (k,).  Raises
+    SolverInvariantError if any target lies below the curve start or has no
+    bracket before the curve leaves the finite range or reaches t = 1.
     """
-    if d1 <= 0.0:
+    d1 = np.asarray(d1, dtype=float)
+    shape = d1.shape
+    d1 = d1.ravel()
+    if np.any(d1 <= 0.0):
         raise ValueError("d1 must be positive")
+    if not t_min > 0.0:  # the geometric grid below never reaches 1 from t_min <= 0
+        raise ValueError("curve parameter t must lie in (0, 1]")
 
-    def f(t):
-        return float(tail_curve(t, params, topo)[0]) - d1
+    grid = [t_min]
+    while grid[-1] < 1.0:
+        grid.append(min(grid[-1] * 1.5, 1.0))
+    grid = np.array(grid)
+    curve = tail_curve(grid, params, topo)[:, 0]
+    start = curve[0] - d1 >= 0.0
+    if np.any(start):
+        raise SolverInvariantError(
+            f"hub inversion: d1={d1[start][0]} below curve start at t={t_min}")
+    # The bracket's upper end is the first expansion point whose value is
+    # finite and >= d1; reaching a non-finite value or t = 1 first fails.
+    expansion = curve[1:]
+    nonfinite = np.flatnonzero(~np.isfinite(expansion))
+    finite_end = nonfinite[0] if nonfinite.size else expansion.size
+    first = np.searchsorted(np.maximum.accumulate(expansion[:finite_end]), d1, side="left")
+    missing = first >= finite_end
+    if np.any(missing):
+        raise SolverInvariantError(f"hub inversion: no bracket for d1={d1[missing][0]}")
+    lo = np.full(d1.shape, t_min)
+    hi = grid[1 + first]
 
-    lo = t_min
-    if f(lo) >= 0.0:
-        raise SolverInvariantError(f"hub inversion: d1={d1} below curve start at t={t_min}")
-    hi = lo
-    while True:
-        nxt = min(hi * 1.5, 1.0)
-        v = f(nxt)
-        if np.isfinite(v) and v >= 0.0:
-            hi = nxt
-            break
-        if not np.isfinite(v) or nxt >= 1.0:
-            raise SolverInvariantError(f"hub inversion: no bracket for d1={d1}")
-        hi = nxt
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return tail_curve(0.5 * (lo + hi), params, topo)
+    active = np.flatnonzero(hi - lo > 1e-15)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        below = tail_curve(mid, params, topo)[:, 0] - d1[active] < 0.0
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[hi[active] - lo[active] > 1e-15]
+    return tail_curve(0.5 * (lo + hi), params, topo).reshape(shape + (topo.k,))
 
 
 def _bracket_root(params: ModelParams, topo: StarlikeTopology,
@@ -173,12 +189,15 @@ def _bracket_root(params: ModelParams, topo: StarlikeTopology,
     ts = np.geomspace(t_start, 1.0, grid_points)
     h = hub_gap(ts, params, topo)
     finite = np.isfinite(h)
-    for i in range(len(ts) - 1):
-        if finite[i] and finite[i + 1] and h[i] * h[i + 1] < 0.0:
-            return ts[i], ts[i + 1]
-        if finite[i + 1] and h[i + 1] == 0.0:
-            return ts[i + 1], ts[i + 1]
-    return None
+    with np.errstate(invalid="ignore", over="ignore"):
+        change = finite[:-1] & finite[1:] & (h[:-1] * h[1:] < 0.0)
+    idx = np.flatnonzero(change | (h[1:] == 0.0))
+    if idx.size == 0:
+        return None
+    i = idx[0]
+    if change[i]:
+        return ts[i], ts[i + 1]
+    return ts[i + 1], ts[i + 1]
 
 
 def _bisect_root(params, topo, lo, hi, width: float = 1e-14) -> float:

@@ -70,8 +70,9 @@ class ConvexityReport:
 def check_convexity(f, domain, grid_n: int, tol: float = 1e-12) -> ConvexityReport:
     """Classify a scalar function by central second differences on a uniform grid.
 
-    A function passing both checks (affine) is reported convex; that tie rule
-    is arbitrary but fixed.
+    f is called once, on the whole grid array, so it must be elementwise:
+    f(grid) returns one value per grid point.  A function passing both
+    checks (affine) is reported convex; that tie rule is arbitrary but fixed.
     """
     lo, hi = domain
     if not lo < hi:
@@ -79,7 +80,10 @@ def check_convexity(f, domain, grid_n: int, tol: float = 1e-12) -> ConvexityRepo
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")
     grid = np.linspace(lo, hi, grid_n)
-    vals = np.array([float(f(t)) for t in grid])
+    vals = np.asarray(f(grid), dtype=float)
+    if vals.shape != grid.shape:
+        raise ValueError(f"f must be elementwise: f(grid) has shape {vals.shape}, "
+                         f"expected {grid.shape}")
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
     mn, mx = float(second.min()), float(second.max())
     if mn >= -tol:
@@ -92,12 +96,14 @@ def check_convexity(f, domain, grid_n: int, tol: float = 1e-12) -> ConvexityRepo
                            max_second_difference=mx, verdict=verdict)
 
 
-def tail_composition(d1: float, params: ModelParams, topo: StarlikeTopology) -> float:
+def tail_composition(d1, params: ModelParams, topo: StarlikeTopology):
     """Level-2 coordinate of the tail curve as a function of the hub coordinate.
 
-    This is the direction in which the composed curve is concave.
+    This is the direction in which the composed curve is concave.  Scalar d1
+    gives a float, an array gives an array of the same shape.
     """
-    return float(tail_state_of_hub(d1, params, topo)[1])
+    d = tail_state_of_hub(d1, params, topo)
+    return float(d[1]) if d.ndim == 1 else d[..., 1]
 
 
 @dataclass
@@ -111,15 +117,24 @@ class SlopeReport:
 def slopes_at_zero(params: ModelParams, topo: StarlikeTopology,
                    step: float = 1e-7) -> SlopeReport:
     """Closed-form slopes at the origin of the two intersection curves, plus
-    one-sided finite-difference estimates (curves vanish at 0, so the secant
-    through the origin suffices)."""
+    finite-difference estimates.
+
+    Both curves vanish at 0, so f(h)/h is a one-sided secant with O(h)
+    error; the Richardson form 2 f(h)/h - f(2h)/(2h) cancels that term and
+    keeps the estimate within relative tolerance where the tail slope is
+    small.
+    """
     _require_three_levels(topo)
     a, b = params.a, params.b
     n1, n2 = topo.branching
     hub_slope = b * n1 / (1.0 - a)
     tail_slope = ((1.0 - a) ** 2 - b * b * n2) / (b * (1.0 - a))
-    hub_fd = float(phi_hub(step, params, n1)) / step
-    tail_fd = float(tail_curve(step, params, topo)[0]) / step
+
+    def slope_fd(f):
+        return 2.0 * float(f(step)) / step - float(f(2.0 * step)) / (2.0 * step)
+
+    hub_fd = slope_fd(lambda t: phi_hub(t, params, n1))
+    tail_fd = slope_fd(lambda t: tail_curve(t, params, topo)[0])
     return SlopeReport(hub_slope=hub_slope, tail_slope=tail_slope,
                        hub_slope_fd=hub_fd, tail_slope_fd=tail_fd)
 

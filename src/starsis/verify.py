@@ -4,9 +4,9 @@ import numpy as np
 
 from .fixedpoint import (RegimeKind, classify_regime, critical_b, hub_gap,
                          phi_hub, phi_hub_inverse, phi_leaf, phi_middle,
-                         solve_fixed_point,
-                         tail_curve)
-from .geometry import check_convexity, in_region_one, region_slice, tail_composition
+                         solve_fixed_point)
+from .geometry import (check_convexity, in_region_one, region_slice, slopes_at_zero,
+                       tail_composition)
 from .meanfield import coalescence_gap, step_full, step_level, step_level3
 from .model import ModelParams, StarlikeTopology, expand_state, reduce_state
 from .stochastic import make_chain_state, run_trials
@@ -47,18 +47,13 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
         err3 = float(np.max(np.abs(step_level(d, params, topo) - step_level3(d, params, topo))))
         checks["general_k_matches_three_level"] = err3 <= 1e-15
 
-        a, b = params.a, params.b
-        n1, n2 = topo.branching
-        hub_slope = b * n1 / (1.0 - a)
-        tail_slope = ((1.0 - a) ** 2 - b * b * n2) / (b * (1.0 - a))
-        h = 1e-7
-        fd_hub = float(phi_hub(h, params, n1)) / h
-        fd_tail = float(tail_curve(h, params, topo)[0]) / h
+        slopes = slopes_at_zero(params, topo)
         checks["slope_formulas_match_finite_differences"] = (
-            abs(fd_hub - hub_slope) <= slope_tol * abs(hub_slope)
-            and abs(fd_tail - tail_slope) <= slope_tol * abs(tail_slope)
+            abs(slopes.hub_slope_fd - slopes.hub_slope) <= slope_tol * abs(slopes.hub_slope)
+            and abs(slopes.tail_slope_fd - slopes.tail_slope) <= slope_tol * abs(slopes.tail_slope)
         )
 
+        n1 = topo.branching[0]
         checks["hub_curve_convex_in_d1"] = check_convexity(
             lambda x: phi_hub_inverse(x, params, n1), (0.0, 1.0), 500
         ).verdict == "convex"

@@ -1,0 +1,203 @@
+"""Batched tail-curve inversion and bracket search against their loop oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import starsis.fixedpoint as fixedpoint
+from starsis import (ModelParams, SolverInvariantError, check_convexity, make_topology,
+                     phi_hub_inverse, tail_composition, tail_curve, tail_state_of_hub)
+
+
+def scalar_state(t, params, topo):
+    """Tail-curve state at one t in numpy scalar arithmetic."""
+    return tail_curve(t, params, topo)
+
+
+def array_state(t, params, topo):
+    """Tail-curve state at one t in numpy array arithmetic, as the batch computes it."""
+    return tail_curve(np.array([t]), params, topo)[0]
+
+
+def oracle_tail_state_of_hub(d1, params, topo, t_min=1e-14, state=scalar_state):
+    """One-target inversion: geometric expansion from t_min, then bisection.
+
+    This is the library's former scalar implementation.  `state` picks the
+    arithmetic: numpy's scalar and array `**` can differ in the last ulp,
+    which the cancellation in tail_curve amplifies at small b.
+    """
+    if d1 <= 0.0:
+        raise ValueError("d1 must be positive")
+
+    def f(t):
+        return float(state(t, params, topo)[0]) - d1
+
+    lo = t_min
+    if f(lo) >= 0.0:
+        raise SolverInvariantError(f"hub inversion: d1={d1} below curve start at t={t_min}")
+    hi = lo
+    while True:
+        nxt = min(hi * 1.5, 1.0)
+        v = f(nxt)
+        if np.isfinite(v) and v >= 0.0:
+            hi = nxt
+            break
+        if not np.isfinite(v) or nxt >= 1.0:
+            raise SolverInvariantError(f"hub inversion: no bracket for d1={d1}")
+        hi = nxt
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return state(0.5 * (lo + hi), params, topo)
+
+
+def oracle_bracket(ts, h):
+    """The former loop of _bracket_root over a sampled hub_gap."""
+    finite = np.isfinite(h)
+    for i in range(len(ts) - 1):
+        if finite[i] and finite[i + 1] and h[i] * h[i + 1] < 0.0:
+            return ts[i], ts[i + 1]
+        if finite[i + 1] and h[i + 1] == 0.0:
+            return ts[i + 1], ts[i + 1]
+    return None
+
+
+def outcome(fn):
+    try:
+        return fn(), None
+    except (ValueError, SolverInvariantError) as exc:
+        return None, type(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    a=st.floats(0.01, 0.99),
+    b=st.floats(0.01, 0.99),
+    branching=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+    d1s=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4),
+)
+def test_batch_matches_one_target_oracle(a, b, branching, d1s):
+    params = ModelParams(a, b)
+    topo = make_topology(tuple(branching))
+    for d1 in d1s:
+        got, got_err = outcome(lambda: tail_state_of_hub(d1, params, topo))
+        want, want_err = outcome(
+            lambda: oracle_tail_state_of_hub(d1, params, topo, state=array_state))
+        assert got_err is want_err, (d1, got_err, want_err)
+        if want is not None:
+            # same decisions in the same arithmetic: bitwise equal
+            assert np.array_equal(got, want), (d1, got - want)
+    batch, batch_err = outcome(lambda: tail_state_of_hub(np.array(d1s), params, topo))
+    singles = [outcome(lambda: tail_state_of_hub(d1, params, topo)) for d1 in d1s]
+    errors = [err for _, err in singles if err is not None]
+    if errors:
+        assert batch_err is errors[0]
+    else:
+        assert batch_err is None
+        assert np.array_equal(batch, np.array([s for s, _ in singles]))
+
+
+@pytest.mark.parametrize("b, branching", [(0.08, (6, 10)), (0.125, (6, 10)),
+                                          (0.15, (6, 10)), (0.3, (6, 10)),
+                                          (0.12, (6, 10, 4))])
+def test_batch_matches_scalar_oracle_on_figure_cases(b, branching):
+    params = ModelParams(0.5, b)
+    topo = make_topology(branching)
+    grid = np.linspace(1e-3, 1.0, 100)
+    want = np.array([oracle_tail_state_of_hub(x, params, topo) for x in grid])
+    assert np.max(np.abs(tail_state_of_hub(grid, params, topo) - want)) <= 1e-13
+
+
+def test_batch_ties_follow_one_target_rule():
+    # targets equal to curve values the inversion itself evaluates: the curve
+    # start, an expansion grid point, and the second bisection midpoint
+    params = ModelParams(0.5, 0.15)
+    topo = make_topology((6, 10))
+    t_min = g = 1e-14
+    for _ in range(40):
+        g *= 1.5
+    mid = 0.5 * (0.5 * (t_min + g) + g)
+    for t in (t_min, g, mid):
+        d1 = float(array_state(t, params, topo)[0])
+        got, got_err = outcome(lambda: tail_state_of_hub(d1, params, topo))
+        want, want_err = outcome(
+            lambda: oracle_tail_state_of_hub(d1, params, topo, state=array_state))
+        assert got_err is want_err
+        assert (got is None and t == t_min) or np.array_equal(got, want)
+
+
+def test_batch_shape_contract():
+    params = ModelParams(0.5, 0.15)
+    topo = make_topology((6, 10))
+    grid = np.linspace(0.05, 0.95, 12)
+    flat = tail_state_of_hub(grid, params, topo)
+    assert tail_state_of_hub(0.5, params, topo).shape == (3,)
+    assert flat.shape == (12, 3)
+    assert np.array_equal(tail_state_of_hub(grid.reshape(3, 4), params, topo),
+                          flat.reshape(3, 4, 3))
+    assert np.array_equal(tail_state_of_hub(grid[4], params, topo), flat[4])
+    assert isinstance(tail_composition(0.5, params, topo), float)
+    assert np.array_equal(tail_composition(grid.reshape(3, 4), params, topo),
+                          flat[:, 1].reshape(3, 4))
+
+
+def test_batch_errors():
+    params = ModelParams(0.5, 0.15)
+    topo = make_topology((6, 10))
+    with pytest.raises(ValueError):
+        tail_state_of_hub(np.array([0.5, 0.0]), params, topo)
+    with pytest.raises(SolverInvariantError, match="below curve start"):
+        tail_state_of_hub(np.array([0.5, 1e-20]), params, topo)
+    with pytest.raises(SolverInvariantError, match="no bracket"):
+        tail_state_of_hub(np.array([0.5, 1e3]), params, topo)
+
+
+@pytest.mark.parametrize("b, branching", [(0.08, (6, 10)), (0.125, (6, 10)),
+                                          (0.15, (6, 10)), (0.12, (6, 10, 4))])
+def test_check_convexity_verdicts_unchanged(b, branching):
+    # the verdicts the pointwise loop gave at these figure points
+    params = ModelParams(0.5, b)
+    topo = make_topology(branching)
+    tail = check_convexity(lambda x: tail_composition(x, params, topo), (1e-3, 1.0), 500)
+    assert tail.verdict == "concave"
+    hub = check_convexity(lambda x: phi_hub_inverse(x, params, branching[0]), (0.0, 1.0), 500)
+    assert hub.verdict == "convex"
+
+
+def test_check_convexity_rejects_non_elementwise_f():
+    with pytest.raises(ValueError, match="elementwise"):
+        check_convexity(lambda t: 1.0, (0.0, 1.0), 10)
+
+
+@pytest.mark.parametrize("a, b, branching", [(0.5, 0.15, (6, 10)), (0.5, 0.3, (2, 2, 2, 2, 2, 2)),
+                                             (0.5, 0.999, (6, 10)), (0.3, 0.05, (6, 10, 4)),
+                                             (0.5, 0.08, (6, 10))])
+def test_bracket_root_matches_loop(a, b, branching):
+    params = ModelParams(a, b)
+    topo = make_topology(branching)
+    ts = np.geomspace(1e-9, 1.0, 4096)
+    assert fixedpoint._bracket_root(params, topo) == oracle_bracket(
+        ts, fixedpoint.hub_gap(ts, params, topo))
+
+
+@pytest.mark.parametrize("h", [
+    [np.nan, -1.0, 2.0, 3.0],         # sign change after a non-finite head
+    [-1.0, np.inf, 2.0, -3.0],        # an infinity blocks the first change
+    [1.0, np.inf, -2.0, 3.0],         # so does one next to a negative value
+    [1.0, 0.0, -1.0, 2.0],            # exact zero wins before the change after it
+    [0.0, 1.0, 2.0, 3.0],             # a zero at index 0 is never a hit
+    [1.0, 2.0, np.nan, 3.0],          # no bracket
+    [-np.inf, 0.0, 1.0, 1.0],         # a zero after an infinity is a hit
+])
+def test_bracket_root_matches_loop_on_crafted_gaps(monkeypatch, h):
+    h = np.array(h)
+    ts = np.geomspace(1e-9, 1.0, h.size)
+    monkeypatch.setattr(fixedpoint, "hub_gap", lambda t, params, topo: h)
+    got = fixedpoint._bracket_root(ModelParams(0.5, 0.15), make_topology((6, 10)),
+                                   grid_points=h.size)
+    assert got == oracle_bracket(ts, h)
