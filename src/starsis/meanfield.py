@@ -50,18 +50,13 @@ def step_level3(d, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
 def step_full(p, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
     """One step of the exact per-node recursion p_i' = 1 - (1 - a p_i) prod_j (1 - b p_j).
 
-    The neighbor product is taken in ascending node order for bitwise
-    reproducibility.
+    The neighbour product is one multiply.reduceat over the topology's edge
+    rows.  It multiplies each row in ascending source order, starting from the
+    first factor, so it is bitwise equal to a left-to-right loop from 1.0.
     """
     p = as_node_state(p, topo)
-    a, b = params.a, params.b
-    out = np.empty_like(p)
-    for i, nbrs in enumerate(topo.neighbors):
-        prod = 1.0
-        for j in nbrs:
-            prod *= 1.0 - b * p[j]
-        out[i] = 1.0 - (1.0 - a * p[i]) * prod
-    return out
+    src, _, starts = topo.edges
+    return 1.0 - (1.0 - params.a * p) * np.multiply.reduceat(1.0 - params.b * p[src], starts)
 
 
 @dataclass
@@ -124,7 +119,5 @@ def iterate(d0, params: ModelParams, topo: StarlikeTopology, tol: float = 1e-12,
 def coalescence_gap(p, topo: StarlikeTopology) -> np.ndarray:
     """Per-level max spread |p_i - p_j| over same-level node pairs (level 1 gap is 0)."""
     p = as_node_state(p, topo)
-    offs = topo.level_offsets
-    return np.array(
-        [p[offs[m]:offs[m + 1]].max() - p[offs[m]:offs[m + 1]].min() for m in range(topo.k)]
-    )
+    level_starts = topo.level_offsets[:-1]
+    return np.maximum.reduceat(p, level_starts) - np.minimum.reduceat(p, level_starts)

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,24 +83,47 @@ class StarlikeTopology:
         return self.level_offsets[m - 2] + j // self.branching[m - 2]
 
     @cached_property
-    def neighbors(self) -> list:
-        """Sorted neighbor index arrays, one per node."""
-        nbrs = [[] for _ in range(self.node_count)]
-        for m in range(2, self.k + 1):
-            lo, hi = self.level_offsets[m - 1], self.level_offsets[m]
-            for child in range(lo, hi):
-                parent = self.level_offsets[m - 2] + (child - lo) // self.branching[m - 2]
-                nbrs[child].append(parent)
-                nbrs[parent].append(child)
-        return [np.array(sorted(ns), dtype=np.intp) for ns in nbrs]
-
-    @cached_property
     def node_levels(self) -> np.ndarray:
         """Level (1..k) of every node, breadth-first order."""
-        levels = np.empty(self.node_count, dtype=np.intp)
-        for m in range(self.k):
-            levels[self.level_offsets[m]:self.level_offsets[m + 1]] = m + 1
-        return levels
+        return np.repeat(np.arange(1, self.k + 1, dtype=np.intp), self.level_sizes)
+
+    @cached_property
+    def edges(self) -> "EdgeArrays":
+        """Directed edges sorted by (target, source), with each target's row start.
+
+        Node i's row is its parent (every node but the hub has one) followed by
+        its children.  Breadth-first numbering puts the parent below i and the
+        children above it, and makes each node's children one block right
+        after the previous node's.  So the children, row after row, are nodes
+        1..N-1 in order: the child in slot j of row i is j + 1 - i, since rows
+        1..i each spent one slot on a parent.  Every row is non-empty because
+        k >= 2.  The arrays are shared by every caller and therefore read-only.
+        """
+        n = self.node_count
+        fanout = np.repeat(np.array(self.branching + (0,), dtype=np.intp), self.level_sizes)
+        degree = fanout.copy()
+        degree[1:] += 1
+        starts = np.zeros(n, dtype=np.intp)
+        np.cumsum(degree[:-1], out=starts[1:])
+        dst = np.repeat(np.arange(n, dtype=np.intp), degree)
+        src = np.arange(1, len(dst) + 1, dtype=np.intp) - dst
+        src[starts[1:]] = np.repeat(np.arange(n, dtype=np.intp), fanout)
+        for arr in (src, dst, starts):
+            arr.flags.writeable = False
+        return EdgeArrays(src=src, dst=dst, starts=starts)
+
+    @cached_property
+    def neighbors(self) -> list:
+        """Sorted neighbor index arrays, one per node (views of the edge sources)."""
+        return np.split(self.edges.src, self.edges.starts[1:])
+
+
+class EdgeArrays(NamedTuple):
+    """The tree's directed edges in row form: row i holds the edges into node i."""
+
+    src: np.ndarray     # (2(N-1),) source node of each directed edge
+    dst: np.ndarray     # (2(N-1),) target node of each directed edge
+    starts: np.ndarray  # (N,) index of each target's first edge
 
 
 def make_topology(branching) -> StarlikeTopology:

@@ -1,11 +1,11 @@
 """Exact Markov-chain simulator of the per-node SIS process."""
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
 
+from .meanfield import step_full
 from .model import ModelParams, StarlikeTopology
 
 
@@ -24,29 +24,23 @@ def make_chain_state(topo: StarlikeTopology, infected_nodes=None, all_infected=F
     return ChainState(infected=inf, t=0)
 
 
-@lru_cache(maxsize=32)
-def _directed_edges(topo: StarlikeTopology):
-    """Directed edge arrays (source, target) sorted by (target, source)."""
-    src, dst = [], []
-    for i, nbrs in enumerate(topo.neighbors):
-        for j in nbrs:
-            src.append(int(j))
-            dst.append(i)
-    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+def _check_infected(infected, topo: StarlikeTopology) -> None:
+    """Reject a configuration that is not a bool vector over the topology's nodes.
+
+    An integer 0/1 vector would turn the masks in step_chain into index
+    arrays and give a wrong state without any error.
+    """
+    dtype = getattr(infected, "dtype", None)
+    if dtype != bool:
+        raise ValueError(f"infected must be a bool array, got dtype {dtype}")
+    if infected.shape != (topo.node_count,):
+        raise ValueError(f"infected must have shape ({topo.node_count},), got {infected.shape}")
 
 
 def conditional_infection_probability(state: ChainState, params: ModelParams,
                                       topo: StarlikeTopology) -> np.ndarray:
     """One-step infection probability of each node given the current configuration."""
-    a, b = params.a, params.b
-    s = state.infected.astype(float)
-    out = np.empty(topo.node_count)
-    for i, nbrs in enumerate(topo.neighbors):
-        prod = 1.0
-        for j in nbrs:
-            prod *= 1.0 - b * s[j]
-        out[i] = 1.0 - (1.0 - a * s[i]) * prod
-    return out
+    return step_full(state.infected.astype(float), params, topo)
 
 
 def step_chain(state: ChainState, params: ModelParams, topo: StarlikeTopology,
@@ -57,17 +51,16 @@ def step_chain(state: ChainState, params: ModelParams, topo: StarlikeTopology,
     neighbor independently transmits with probability b (one draw per
     directed edge); a node is infected next step iff it stayed infected or
     received at least one transmission.  Draws are consumed in a fixed order
-    (all node draws, then all edge draws sorted by target) so the stream is
-    independent of the configuration.
+    (all node draws, then all edge draws sorted by (target, source)) so the
+    stream is independent of the configuration.
     """
-    a, b = params.a, params.b
-    src, dst = _directed_edges(topo)
+    inf = state.infected
+    _check_infected(inf, topo)
+    src, dst, _ = topo.edges
     u_node = rng.random(topo.node_count)
     u_edge = rng.random(len(src))
-    stayed = state.infected & (u_node < a)
-    transmitted = state.infected[src] & (u_edge < b)
-    nxt = stayed.copy()
-    np.logical_or.at(nxt, dst[transmitted], True)
+    nxt = inf & (u_node < params.a)
+    nxt[dst[inf[src] & (u_edge < params.b)]] = True
     return ChainState(infected=nxt, t=state.t + 1)
 
 
@@ -84,28 +77,29 @@ def run_trials(params: ModelParams, topo: StarlikeTopology, init: ChainState,
     """Average per-level prevalence over independent trials.
 
     Per-trial RNG streams are spawned from the master seed, so the result is
-    deterministic and independent of execution order.
+    deterministic and independent of execution order.  A trial stops at its
+    first all-healthy step: that state is absorbing, so its later rows would
+    add 0, and its stream is its own, so stopping consumes no other trial's draws.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if init.infected.shape != (topo.node_count,):
-        raise ValueError("initial state does not match topology")
-    offs = topo.level_offsets
+    _check_infected(init.infected, topo)
+    level_starts = topo.level_offsets[:-1]
     sizes = np.array(topo.level_sizes, dtype=float)
     seeds = np.random.SeedSequence(master_seed).spawn(trials)
     total = np.zeros((horizon + 1, topo.k))
     extinction = []
     for seq in seeds:
         rng = np.random.default_rng(seq)
-        state = ChainState(infected=init.infected.copy(), t=init.t)
+        state = init
         ext = None
         for t in range(horizon + 1):
-            inf = state.infected
-            total[t] += [inf[offs[m]:offs[m + 1]].sum() for m in range(topo.k)]
-            if ext is None and not inf.any():
+            total[t] += np.add.reduceat(state.infected.astype(np.int64), level_starts)
+            if not state.infected.any():
                 ext = t
+                break
             if t < horizon:
                 state = step_chain(state, params, topo, rng)
         extinction.append(ext)
