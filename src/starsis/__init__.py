@@ -7,18 +7,17 @@ from .fixedpoint import (FixedPointReport, Regime, RegimeKind,
 from .geometry import (ConvexityReport, SlopeReport, check_convexity,
                        in_region_one, region_slice, sample_curves,
                        slopes_at_zero, strict_decrease_check, tail_composition)
-from .meanfield import (Trajectory, coalescence_gap, iterate, step_full,
-                        step_level, step_level3)
-from .model import (ModelParams, StarlikeTopology, as_level_state,
-                    as_node_state, expand_state, make_topology, reduce_state)
+from .meanfield import Trajectory, coalescence_gap, iterate, step_full, step_level
+from .model import (ModelParams, StarlikeTopology, expand_state, make_topology,
+                    reduce_state)
 from .stochastic import (ChainState, RunSummary,
                          conditional_infection_probability, make_chain_state,
                          run_trials, step_chain)
 
 __all__ = [
     "ModelParams", "StarlikeTopology", "make_topology",
-    "as_level_state", "as_node_state", "expand_state", "reduce_state",
-    "step_level", "step_level3", "step_full", "iterate", "Trajectory",
+    "expand_state", "reduce_state",
+    "step_level", "step_full", "iterate", "Trajectory",
     "coalescence_gap",
     "critical_b", "classify_regime", "Regime", "RegimeKind",
     "phi_hub", "phi_hub_inverse", "phi_middle", "phi_leaf", "tail_curve",

@@ -14,8 +14,6 @@ from .model import ModelParams, make_topology
 from .stochastic import make_chain_state, run_trials
 from .verify import run_property_suite
 
-FIGURE_A = 0.5
-FIGURE_BRANCHING = (6, 10)
 FIGURE_BS = (0.08, 0.125, 0.15)
 FIGURE_ZS = (0.0, 0.25, 0.75)
 
@@ -39,57 +37,65 @@ def _parse_floats(text):
     return tuple(float(part) for part in str(text).split(","))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--a", type=float, default=None)
-    common.add_argument("--b", type=float, default=None)
-    common.add_argument("--branching", type=str, default=None)
-    common.add_argument("--config", type=str, default=None,
-                        help="JSON file supplying any of the flag values")
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--max-iter", type=int, default=None)
-    common.add_argument("--grid-n", type=int, default=None)
-    common.add_argument("--horizon", type=int, default=None)
-    common.add_argument("--trials", type=int, default=None)
+def _build_parser():
+    """The top-level parser and one subparser per command.
+
+    Each command takes the shared model flags and only the options it reads.
+    The defaults live here: a and branching default to the paper's figure
+    (a = 0.5, branching 6,10).
+    """
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--a", type=float, default=0.5)
+    shared.add_argument("--b", type=float)
+    shared.add_argument("--branching", default="6,10")
+    shared.add_argument("--config", help="JSON file supplying values for this command's flags")
+    shared.add_argument("--out")
 
     parser = argparse.ArgumentParser(prog="starsis",
                                      description="SIS mean-field dynamics on starlike graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("threshold", parents=[common])
-    p_it = sub.add_parser("iterate", parents=[common])
-    p_it.add_argument("--d0", type=str, default=None,
-                      help="comma-separated start state, default all ones")
-    sub.add_parser("fixedpoint", parents=[common])
-    sub.add_parser("curves", parents=[common])
-    p_reg = sub.add_parser("regions", parents=[common])
-    p_reg.add_argument("--z", type=float, default=None,
-                       help="slice height; default emits the three figure slices")
-    sub.add_parser("simulate", parents=[common])
-    p_ver = sub.add_parser("verify", parents=[common])
-    p_ver.add_argument("--slope-tol", type=float, default=1e-6)
-    return parser
+    commands = {name: sub.add_parser(name, parents=[shared]) for name in _COMMANDS}
+    commands["iterate"].add_argument("--tol", type=float, default=1e-12)
+    commands["iterate"].add_argument("--max-iter", type=int, default=10**6)
+    commands["iterate"].add_argument("--d0", help="comma-separated start state, default all ones")
+    commands["fixedpoint"].add_argument("--tol", type=float, default=1e-12)
+    commands["curves"].add_argument("--grid-n", type=int, default=1000)
+    commands["regions"].add_argument("--grid-n", type=int, default=101)
+    commands["regions"].add_argument("--z", type=float,
+                                     help="slice height; default emits the three figure slices")
+    commands["simulate"].add_argument("--horizon", type=int, default=500)
+    commands["simulate"].add_argument("--trials", type=int, default=50)
+    commands["simulate"].add_argument("--seed", type=int, default=0)
+    commands["verify"].add_argument("--seed", type=int, default=0)
+    commands["verify"].add_argument("--slope-tol", type=float, default=1e-6)
+    return parser, commands
 
 
-def _apply_config(args):
+def _apply_config(args, parser, commands, argv):
+    """Parse argv again with the --config values as the command's defaults.
+
+    Flags given on the command line still win.  A key the command does not
+    take is rejected.  set_defaults changes the shared flags' defaults for
+    every command of this parser, which main builds afresh for each call.
+    """
     if args.config is None:
-        return
+        return args
     with open(args.config) as fh:
         cfg = json.load(fh)
+    takes = set(vars(args)) - {"command", "config"}
+    values = {}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if attr not in takes:
+            raise ValueError(f"{args.command} does not take config key {key!r}")
+        values[attr] = value
+    commands[args.command].set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _model_inputs(args, require_b=True):
-    a = FIGURE_A if args.a is None else float(args.a)
-    branching = FIGURE_BRANCHING if args.branching is None else _parse_branching(args.branching)
-    topo = make_topology(branching)
+    a = float(args.a)
+    topo = make_topology(_parse_branching(args.branching))
     b = args.b
     if b is None and require_b:
         raise ValueError("--b is required for this command")
@@ -128,10 +134,8 @@ def cmd_threshold(args) -> int:
 
 def cmd_iterate(args) -> int:
     _, params, topo = _model_inputs(args)
-    tol = 1e-12 if args.tol is None else args.tol
-    max_iter = 10**6 if args.max_iter is None else args.max_iter
     d0 = np.ones(topo.k) if args.d0 is None else np.array(_parse_floats(args.d0))
-    traj = iterate(d0, params, topo, tol=tol, max_iter=max_iter)
+    traj = iterate(d0, params, topo, tol=args.tol, max_iter=args.max_iter)
     header = "step," + ",".join(f"d{i + 1}" for i in range(topo.k)) + ",residual"
     lines = [header]
     for step, state in enumerate(traj.states):
@@ -145,7 +149,7 @@ def cmd_iterate(args) -> int:
             "iterations": traj.iterations,
             "final_residual": traj.final_residual,
             "limit": [float(v) for v in traj.limit],
-            "tol": tol,
+            "tol": args.tol,
         },
         args.out,
     )
@@ -154,7 +158,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_fixedpoint(args) -> int:
     _, params, topo = _model_inputs(args)
-    tol = 1e-12 if args.tol is None else args.tol
+    tol = args.tol
     report = solve_fixed_point(params, topo, tol=tol)
     payload = {
         "regime": report.regime.kind.value,
@@ -179,11 +183,10 @@ def cmd_fixedpoint(args) -> int:
 
 def cmd_curves(args) -> int:
     a, params, topo = _model_inputs(args, require_b=False)
-    grid_n = 1000 if args.grid_n is None else args.grid_n
     bs = FIGURE_BS if params is None else (params.b,)
     lines = ["b,t,d1_hub_curve,d1_tail_curve,d2"]
     for b in bs:
-        table = sample_curves(ModelParams(a=a, b=b), topo, grid_n)
+        table = sample_curves(ModelParams(a=a, b=b), topo, args.grid_n)
         for row in table:
             lines.append(",".join([_fmt(b)] + [_fmt(v) for v in row]))
     _emit("\n".join(lines) + "\n", args.out)
@@ -192,7 +195,7 @@ def cmd_curves(args) -> int:
 
 def cmd_regions(args) -> int:
     _, params, topo = _model_inputs(args)
-    grid_n = 101 if args.grid_n is None else args.grid_n
+    grid_n = args.grid_n
     zs = FIGURE_ZS if args.z is None else (args.z,)
     xs = np.linspace(0.0, 1.0, grid_n)
     lines = ["z,x,y,inside"]
@@ -207,11 +210,9 @@ def cmd_regions(args) -> int:
 
 def cmd_simulate(args) -> int:
     _, params, topo = _model_inputs(args)
-    horizon = 500 if args.horizon is None else args.horizon
-    trials = 50 if args.trials is None else args.trials
-    seed = 0 if args.seed is None else args.seed
     init = make_chain_state(topo, all_infected=True)
-    summary = run_trials(params, topo, init, horizon=horizon, trials=trials, master_seed=seed)
+    summary = run_trials(params, topo, init, horizon=args.horizon, trials=args.trials,
+                         master_seed=args.seed)
     header = "step," + ",".join(f"level{i + 1}" for i in range(topo.k))
     lines = [header]
     for step, row in enumerate(summary.prevalence):
@@ -221,7 +222,7 @@ def cmd_simulate(args) -> int:
         {
             "master_seed": summary.master_seed,
             "trials": summary.trials,
-            "horizon": horizon,
+            "horizon": args.horizon,
             "extinction_steps": summary.extinction_steps,
         },
         args.out,
@@ -231,8 +232,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     _, params, topo = _model_inputs(args)
-    seed = 0 if args.seed is None else args.seed
-    checks = run_property_suite(params, topo, seed=seed, slope_tol=args.slope_tol)
+    checks = run_property_suite(params, topo, seed=args.seed, slope_tol=args.slope_tol)
     payload = {"checks": checks, "all_passed": all(checks.values())}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -250,10 +250,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        args = _apply_config(args, parser, commands, argv)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

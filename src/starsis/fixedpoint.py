@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .meanfield import iterate, step_level
+from .meanfield import _step_level, iterate
 from .model import ModelParams, StarlikeTopology
 
 
@@ -218,7 +218,7 @@ def _bisect_root(params, topo, lo, hi, width: float = 1e-14) -> float:
 
 
 def _residual(d, params, topo) -> float:
-    return float(np.max(np.abs(step_level(d, params, topo) - d)))
+    return float(np.max(np.abs(_step_level(d, params, topo) - d)))
 
 
 def solve_fixed_point(params: ModelParams, topo: StarlikeTopology,
@@ -247,7 +247,7 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology,
     # Polish: a few extra map applications push the iterate to the
     # floating-point limit without changing the contract.
     for _ in range(200):
-        point_iter = step_level(point_iter, params, topo)
+        point_iter = _step_level(point_iter, params, topo)
     iteration_residual = _residual(point_iter, params, topo)
 
     bracket = _bracket_root(params, topo)

@@ -20,10 +20,6 @@ class ModelParams:
         if not (0.0 < self.b < 1.0):
             raise ValueError(f"transmission probability b must be in (0,1), got {self.b}")
 
-    @property
-    def cure_probability(self) -> float:
-        return 1.0 - self.a
-
 
 @dataclass(frozen=True)
 class StarlikeTopology:
@@ -135,7 +131,7 @@ def as_level_state(d, topo: StarlikeTopology) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.shape[-1] != topo.k:
         raise ValueError(f"level state must have length {topo.k}, got shape {d.shape}")
-    if np.any(d < 0.0) or np.any(d > 1.0):
+    if not np.all((d >= 0.0) & (d <= 1.0)):  # NaN fails both comparisons
         raise ValueError("level state entries must lie in [0,1]")
     return d
 
@@ -145,7 +141,7 @@ def as_node_state(p, topo: StarlikeTopology) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (topo.node_count,):
         raise ValueError(f"node state must have shape ({topo.node_count},), got {p.shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
         raise ValueError("node state entries must lie in [0,1]")
     return p
 

@@ -7,7 +7,7 @@ from .fixedpoint import (RegimeKind, classify_regime, critical_b, hub_gap,
                          solve_fixed_point)
 from .geometry import (check_convexity, in_region_one, region_slice, slopes_at_zero,
                        tail_composition)
-from .meanfield import coalescence_gap, step_full, step_level, step_level3
+from .meanfield import coalescence_gap, step_full, step_level
 from .model import ModelParams, StarlikeTopology, expand_state, reduce_state
 from .stochastic import make_chain_state, run_trials
 
@@ -44,9 +44,6 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
     checks["full_vs_reduced_consistency"] = err <= 1e-14
 
     if k == 3:
-        err3 = float(np.max(np.abs(step_level(d, params, topo) - step_level3(d, params, topo))))
-        checks["general_k_matches_three_level"] = err3 <= 1e-15
-
         slopes = slopes_at_zero(params, topo)
         checks["slope_formulas_match_finite_differences"] = (
             abs(slopes.hub_slope_fd - slopes.hub_slope) <= slope_tol * abs(slopes.hub_slope)

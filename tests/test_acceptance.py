@@ -6,11 +6,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 import numpy as np
 import pytest
 
+from oracles import step_level3
 from starsis import (ModelParams, coalescence_gap, conditional_infection_probability,
                      critical_b, expand_state, hub_gap, iterate, make_chain_state,
                      make_topology, phi_hub, phi_hub_inverse, reduce_state,
                      solve_fixed_point,
-                     step_chain, step_full, step_level, step_level3,
+                     step_chain, step_full, step_level,
                      tail_composition, tail_curve)
 
 A = 0.5

@@ -169,6 +169,50 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     assert code == 2
 
 
+COMMANDS = ("threshold", "iterate", "fixedpoint", "curves", "regions", "simulate", "verify")
+
+
+def test_threshold_rejects_flags_it_does_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--a", "0.5", "--branching", "6,10", "--horizon", "5"])
+    assert exc.value.code == 2
+    assert "--horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_format_flag_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--b", "0.15", "--format", "csv"])
+    assert exc.value.code == 2
+
+
+def test_config_key_the_command_does_not_take_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": 0.5, "horizon": 5}))
+    code, out, err = run_cli(capsys, "threshold", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "horizon" in err
+
+
+def test_config_supplies_slope_tol(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"slope-tol": 1e-15}))
+    code, out, _ = run_cli(capsys, "verify", "--a", "0.5", "--b", "0.15",
+                           "--branching", "6,10", "--config", str(cfg))
+    assert code == 0
+    assert not json.loads(out)["checks"]["slope_formulas_match_finite_differences"]
+
+
+def test_iterate_nan_start_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code, _, err = run_cli(capsys, "iterate", "--a", "0.5", "--b", "0.15", "--branching", "6,10",
+                           "--d0", "nan,0.5,0.5", "--out", str(out))
+    assert code == 2
+    assert "error" in err
+    assert not out.exists()
+
+
 def test_output_round_trips_at_17_digits(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--a", "0.7", "--branching", "7,9")
     payload = json.loads(out)

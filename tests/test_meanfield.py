@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import step_level3
 from starsis import (ModelParams, coalescence_gap, expand_state, iterate,
-                     make_topology, reduce_state, step_full, step_level,
-                     step_level3)
+                     make_topology, reduce_state, step_full, step_level)
 
 
 def step_full_oracle_topo22(p, a, b):
@@ -202,3 +202,16 @@ def test_iterate_input_validation():
         iterate(np.ones(3), params, topo, max_iter=0)
     with pytest.raises(ValueError):
         iterate(np.ones(4), params, topo)
+
+
+def test_nan_states_and_tol_rejected():
+    topo = make_topology((6, 10))
+    params = ModelParams(0.5, 0.15)
+    with pytest.raises(ValueError):
+        step_level([np.nan, 0.5, 0.5], params, topo)
+    with pytest.raises(ValueError):
+        step_full(np.full(topo.node_count, np.nan), params, topo)
+    with pytest.raises(ValueError):
+        iterate([np.nan, 0.5, 0.5], params, topo)
+    with pytest.raises(ValueError):
+        iterate(np.ones(3), params, topo, tol=np.nan)

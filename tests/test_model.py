@@ -94,3 +94,11 @@ def test_state_validation():
         expand_state([1.5, 0.5, 0.5], topo)
     with pytest.raises(ValueError):
         reduce_state(np.zeros(66), topo)
+
+
+def test_state_validation_rejects_nan():
+    topo = make_topology((6, 10))
+    with pytest.raises(ValueError):
+        expand_state([0.5, np.nan, 0.5], topo)
+    with pytest.raises(ValueError):
+        reduce_state(np.full(topo.node_count, np.nan), topo)
