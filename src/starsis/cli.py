@@ -1,6 +1,7 @@
 """Command-line surface: threshold, iterate, fixedpoint, curves, regions, simulate, verify."""
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -21,20 +22,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
 
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+_BLOCK_ROWS = 1024
 
 
 def _parse_branching(text):
     try:
-        return tuple(int(part) for part in str(text).split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"branching must be comma-separated integers, got {text!r}") from exc
-
-
-def _parse_floats(text):
-    return tuple(float(part) for part in str(text).split(","))
 
 
 def _build_parser():
@@ -75,7 +70,9 @@ def _apply_config(args, parser, commands, argv):
     """Parse argv again with the --config values as the command's defaults.
 
     Flags given on the command line still win.  A key the command does not
-    take is rejected.  set_defaults changes the shared flags' defaults for
+    take is rejected.  A non-null value goes in as its text, so argparse runs
+    it through the flag's type like a command-line string: a seed of 1.5 is a
+    usage error (exit 2).  set_defaults changes the shared flags' defaults for
     every command of this parser, which main builds afresh for each call.
     """
     if args.config is None:
@@ -88,36 +85,44 @@ def _apply_config(args, parser, commands, argv):
         attr = key.replace("-", "_")
         if attr not in takes:
             raise ValueError(f"{args.command} does not take config key {key!r}")
-        values[attr] = value
+        values[attr] = None if value is None else str(value)
     commands[args.command].set_defaults(**values)
     return parser.parse_args(argv)
 
 
 def _model_inputs(args, require_b=True):
-    a = float(args.a)
     topo = make_topology(_parse_branching(args.branching))
-    b = args.b
-    if b is None and require_b:
+    if args.b is None and require_b:
         raise ValueError("--b is required for this command")
-    params = ModelParams(a=a, b=float(b)) if b is not None else None
-    return a, params, topo
+    params = None if args.b is None else ModelParams(a=args.a, b=args.b)
+    return args.a, params, topo
 
 
-def _emit(text: str, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+def _emit_json(payload, out, sidecar=False):
+    """Write a report to --out or stdout, or a sidecar to <out>.json or stderr."""
+    if sidecar and out is not None:
+        out += ".json"
+    with _sink(out, sys.stderr if sidecar else sys.stdout) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _emit_sidecar(payload: dict, out):
-    text = json.dumps(payload, indent=2) + "\n"
-    if out is None:
-        sys.stderr.write(text)
-    else:
-        with open(out + ".json", "w") as fh:
-            fh.write(text)
+def _emit_table(header, table, out):
+    """Stream a 2-D float table as CSV to --out or stdout, _BLOCK_ROWS rows at a time.
+
+    "%.17g" % x is format(x, ".17g") on every double, so values round-trip,
+    and integral values (step indices, 0/1 flags) print with no point.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with _sink(out, sys.stdout) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _sink(path, stream):
+    """The file at path opened for writing, or stream when path is None."""
+    return contextlib.nullcontext(stream) if path is None else open(path, "w", newline="")
 
 
 def cmd_threshold(args) -> int:
@@ -128,31 +133,30 @@ def cmd_threshold(args) -> int:
         regime = classify_regime(params, topo, eq_tol=1e-12)
         payload["b"] = params.b
         payload["regime"] = regime.kind.value
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
 def cmd_iterate(args) -> int:
     _, params, topo = _model_inputs(args)
-    d0 = np.ones(topo.k) if args.d0 is None else np.array(_parse_floats(args.d0))
+    d0 = np.ones(topo.k) if args.d0 is None else np.array([float(v) for v in args.d0.split(",")])
     traj = iterate(d0, params, topo, tol=args.tol, max_iter=args.max_iter)
+    # Each stored state is the map applied to the one before, so a row's
+    # residual is its difference to the next row; the last row takes one step.
+    states = traj.states
+    after = np.vstack([states[1:], step_level(states[-1], params, topo)])
+    residual = np.max(np.abs(after - states), axis=1)
     header = "step," + ",".join(f"d{i + 1}" for i in range(topo.k)) + ",residual"
-    lines = [header]
-    for step, state in enumerate(traj.states):
-        res = np.max(np.abs(step_level(state, params, topo) - state))
-        lines.append(",".join([str(step)] + [_fmt(v) for v in state] + [_fmt(res)]))
-    _emit("\n".join(lines) + "\n", args.out)
-    _emit_sidecar(
-        {
-            "status": "converged" if traj.converged else "max_iter",
-            "converged": traj.converged,
-            "iterations": traj.iterations,
-            "final_residual": traj.final_residual,
-            "limit": [float(v) for v in traj.limit],
-            "tol": args.tol,
-        },
-        args.out,
-    )
+    _emit_table(header, np.column_stack([np.arange(len(states)), states, residual]), args.out)
+    meta = {
+        "status": "converged" if traj.converged else "max_iter",
+        "converged": traj.converged,
+        "iterations": traj.iterations,
+        "final_residual": traj.final_residual,
+        "limit": [float(v) for v in traj.limit],
+        "tol": args.tol,
+    }
+    _emit_json(meta, args.out, sidecar=True)
     return EXIT_OK
 
 
@@ -172,7 +176,7 @@ def cmd_fixedpoint(args) -> int:
         "curve_root_residual": report.curve_root_residual,
         "agreement": report.agreement,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     if report.regime.kind is RegimeKind.SUPERCRITICAL and report.agreement > 10.0 * tol:
         sys.stderr.write(
             f"solver disagreement {report.agreement:g} exceeds 10*tol={10 * tol:g}\n"
@@ -184,27 +188,20 @@ def cmd_fixedpoint(args) -> int:
 def cmd_curves(args) -> int:
     a, params, topo = _model_inputs(args, require_b=False)
     bs = FIGURE_BS if params is None else (params.b,)
-    lines = ["b,t,d1_hub_curve,d1_tail_curve,d2"]
-    for b in bs:
-        table = sample_curves(ModelParams(a=a, b=b), topo, args.grid_n)
-        for row in table:
-            lines.append(",".join([_fmt(b)] + [_fmt(v) for v in row]))
-    _emit("\n".join(lines) + "\n", args.out)
+    curves = [sample_curves(ModelParams(a=a, b=b), topo, args.grid_n) for b in bs]
+    table = np.vstack([np.column_stack([np.full(len(c), b), c]) for b, c in zip(bs, curves)])
+    _emit_table("b,t,d1_hub_curve,d1_tail_curve,d2", table, args.out)
     return EXIT_OK
 
 
 def cmd_regions(args) -> int:
     _, params, topo = _model_inputs(args)
-    grid_n = args.grid_n
     zs = FIGURE_ZS if args.z is None else (args.z,)
-    xs = np.linspace(0.0, 1.0, grid_n)
-    lines = ["z,x,y,inside"]
-    for z in zs:
-        mask = region_slice(z, grid_n, params, topo)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                lines.append(f"{_fmt(z)},{_fmt(x)},{_fmt(y)},{int(mask[i, j])}")
-    _emit("\n".join(lines) + "\n", args.out)
+    xs = np.linspace(0.0, 1.0, args.grid_n)
+    masks = [region_slice(z, args.grid_n, params, topo).ravel() for z in zs]
+    x, y = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+    table = np.vstack([np.column_stack([np.full(x.size, z), x, y, m]) for z, m in zip(zs, masks)])
+    _emit_table("z,x,y,inside", table, args.out)
     return EXIT_OK
 
 
@@ -213,20 +210,16 @@ def cmd_simulate(args) -> int:
     init = make_chain_state(topo, all_infected=True)
     summary = run_trials(params, topo, init, horizon=args.horizon, trials=args.trials,
                          master_seed=args.seed)
+    prevalence = summary.prevalence
     header = "step," + ",".join(f"level{i + 1}" for i in range(topo.k))
-    lines = [header]
-    for step, row in enumerate(summary.prevalence):
-        lines.append(",".join([str(step)] + [_fmt(v) for v in row]))
-    _emit("\n".join(lines) + "\n", args.out)
-    _emit_sidecar(
-        {
-            "master_seed": summary.master_seed,
-            "trials": summary.trials,
-            "horizon": args.horizon,
-            "extinction_steps": summary.extinction_steps,
-        },
-        args.out,
-    )
+    _emit_table(header, np.column_stack([np.arange(len(prevalence)), prevalence]), args.out)
+    meta = {
+        "master_seed": summary.master_seed,
+        "trials": summary.trials,
+        "horizon": args.horizon,
+        "extinction_steps": summary.extinction_steps,
+    }
+    _emit_json(meta, args.out, sidecar=True)
     return EXIT_OK
 
 
@@ -234,7 +227,7 @@ def cmd_verify(args) -> int:
     _, params, topo = _model_inputs(args)
     checks = run_property_suite(params, topo, seed=args.seed, slope_tol=args.slope_tol)
     payload = {"checks": checks, "all_passed": all(checks.values())}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 

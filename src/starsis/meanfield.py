@@ -1,6 +1,6 @@
 """Deterministic dynamics: level-reduced map, per-node recursion, iteration."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,11 +70,7 @@ class Trajectory:
     converged: bool
     iterations: int
     final_residual: float
-    limit: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.limit is None:
-            self.limit = self.states[-1]
+    limit: np.ndarray
 
 
 def iterate(d0, params: ModelParams, topo: StarlikeTopology, tol: float = 1e-12,

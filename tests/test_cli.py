@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -217,3 +218,54 @@ def test_output_round_trips_at_17_digits(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--a", "0.7", "--branching", "7,9")
     payload = json.loads(out)
     assert payload["b_crit"] == (1.0 - 0.7) / np.sqrt(16)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", {"b": 0.3, "seed": 1.5}),
+    ("simulate", {"b": 0.3, "horizon": 5.0}),
+    ("regions", {"b": 0.08, "grid-n": 11.7}),
+])
+def test_config_value_goes_through_flag_type(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+MODEL = ["--a", "0.5", "--branching", "6,10"]
+
+# sha256 of the CSV and, for iterate, the sidecar that `<argv> --out <file>`
+# writes, as formatted cell by cell with format(x, ".17g") before the tables
+# were streamed as arrays.
+CSV_SHA256 = [
+    (["iterate", *MODEL, "--b", "0.08"],
+     ("3ad21e17289916d3494d6814bbc0e58ec35e704abf2bc31cf61ffe20f5556116",
+      "09a2e8bc7fa145455b2a3df46b3d6a3a2af55aceb678af6e19ae418ce89be3c9")),
+    (["iterate", *MODEL, "--b", "0.15"],
+     ("4d8d21c49a5da8c112093d560ddb0863f735cbcda656ff74204fdfbd4b0e691b",
+      "70a87d46725c39dbc16b32085fff01374755ba3125fc383214417b4c49cb9fb5")),
+    (["iterate", *MODEL, "--b", "0.15", "--max-iter", "3"],
+     ("8084eb4705a9f49dd80dcdc4c5fcb77f674171504ad1b8f9cb5cb3d6f54d8cd5",
+      "904eb2a0e14b5edd9bc8ac41ac3900b0ee6fffe36c2c79a5d1557d7f2ae8835e")),
+    (["iterate", *MODEL, "--b", "0.15", "--d0", "0,0,0"],
+     ("3c84f1a2fce759e7f0617d71e8a1d9006121eb58a572999b354835e427c4f204",
+      "5187ec5358ceb5e46439433753327aa0c8757a905ed5eccd6ba4646252edf29b")),
+    (["curves"],
+     ("4425059ca91ae4d66acc0a80e8d2a7a50514857c545f6ff9e9f1a47d68db804c",)),
+    (["regions", *MODEL, "--b", "0.08"],
+     ("08aba16630072f50a92b4d2cd81e57f81cdedd3c644a48823b77d80c073ab24b",)),
+    (["regions", *MODEL, "--b", "0.08", "--z", "0.25", "--grid-n", "21"],
+     ("fa3243bdb84e159989d2b2836f6e45982ededdb7f61b44317aed14dc099d9d8e",)),
+]
+
+
+@pytest.mark.parametrize("argv, want", CSV_SHA256, ids=[" ".join(a) for a, _ in CSV_SHA256])
+def test_csv_bytes_pinned(tmp_path, argv, want):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    paths = (out, tmp_path / "out.csv.json")[:len(want)]
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == want
