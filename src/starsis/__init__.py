@@ -3,7 +3,8 @@
 from .fixedpoint import (FixedPointReport, Regime, RegimeKind,
                          SolverInvariantError, classify_regime, critical_b,
                          hub_gap, phi_hub, phi_hub_inverse, phi_leaf, phi_middle,
-                         solve_fixed_point, tail_curve, tail_state_of_hub)
+                         solve_fixed_point, spectral_threshold, tail_curve,
+                         tail_state_of_hub)
 from .geometry import (ConvexityReport, SlopeReport, check_convexity,
                        in_region_one, region_slice, sample_curves,
                        slopes_at_zero, strict_decrease_check, tail_composition)
@@ -19,7 +20,7 @@ __all__ = [
     "expand_state", "reduce_state",
     "step_level", "step_full", "iterate", "Trajectory",
     "coalescence_gap",
-    "critical_b", "classify_regime", "Regime", "RegimeKind",
+    "critical_b", "spectral_threshold", "classify_regime", "Regime", "RegimeKind",
     "phi_hub", "phi_hub_inverse", "phi_middle", "phi_leaf", "tail_curve",
     "hub_gap",
     "tail_state_of_hub", "solve_fixed_point", "FixedPointReport",

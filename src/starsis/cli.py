@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from .fixedpoint import (RegimeKind, SolverInvariantError, classify_regime,
-                         critical_b, solve_fixed_point)
+                         solve_fixed_point, spectral_threshold)
 from .geometry import region_slice, sample_curves
 from .meanfield import iterate, step_level
 from .model import ModelParams, make_topology
@@ -70,7 +70,8 @@ def _apply_config(args, parser, commands, argv):
     """Parse argv again with the --config values as the command's defaults.
 
     Flags given on the command line still win.  A key the command does not
-    take is rejected.  A non-null value goes in as its text, so argparse runs
+    take is rejected, and so is a null for a flag whose default is not None
+    (`{"a": null}`).  A non-null value goes in as its text, so argparse runs
     it through the flag's type like a command-line string: a seed of 1.5 is a
     usage error (exit 2).  set_defaults changes the shared flags' defaults for
     every command of this parser, which main builds afresh for each call.
@@ -85,6 +86,8 @@ def _apply_config(args, parser, commands, argv):
         attr = key.replace("-", "_")
         if attr not in takes:
             raise ValueError(f"{args.command} does not take config key {key!r}")
+        if value is None and commands[args.command].get_default(attr) is not None:
+            raise ValueError(f"config key {key!r} of {args.command} cannot be null")
         values[attr] = None if value is None else str(value)
     commands[args.command].set_defaults(**values)
     return parser.parse_args(argv)
@@ -127,7 +130,7 @@ def _sink(path, stream):
 
 def cmd_threshold(args) -> int:
     a, params, topo = _model_inputs(args, require_b=False)
-    bc = critical_b(a, topo.branching)
+    bc = spectral_threshold(a, topo.branching)
     payload = {"a": a, "branching": list(topo.branching), "b_crit": bc}
     if params is not None:
         regime = classify_regime(params, topo, eq_tol=1e-12)

@@ -10,6 +10,12 @@ from .meanfield import _step_level, iterate
 from .model import ModelParams, StarlikeTopology
 
 
+_U = np.finfo(float).eps / 2  # unit roundoff
+_WARM_STEPS = 8
+_NEWTON_MAX = 100
+_STALL = 1e-6
+
+
 class SolverInvariantError(RuntimeError):
     """An internal solver invariant failed (e.g. no bracket in the supercritical regime)."""
 
@@ -37,7 +43,10 @@ class FixedPointReport:
 
 
 def critical_b(a: float, branching) -> float:
-    """Critical transmission probability (1 - a) / sqrt(n1 + ... + n_{k-1})."""
+    """The paper's closed-form threshold (1 - a) / sqrt(n1 + ... + n_{k-1}).
+
+    It equals spectral_threshold for k <= 3 and lies below it for k >= 4.
+    """
     if not (0.0 < a < 1.0):
         raise ValueError(f"a must be in (0,1), got {a}")
     branching = tuple(int(n) for n in branching)
@@ -46,11 +55,39 @@ def critical_b(a: float, branching) -> float:
     return (1.0 - a) / np.sqrt(sum(branching))
 
 
+def level_matrix(branching) -> np.ndarray:
+    """Level adjacency M: near the trivial point the map is d' = (aI + bM) d.
+
+    Row m has 1 at its parent level m - 1 and n_m at its child level m + 1.
+    """
+    n = np.asarray(branching, dtype=float)
+    i = np.arange(n.size)
+    m = np.zeros((n.size + 1, n.size + 1))
+    m[i, i + 1] = n
+    m[i + 1, i] = 1.0
+    return m
+
+
+def spectral_threshold(a: float, branching) -> float:
+    """Epidemic threshold (1 - a) / rho(M), where the trivial point loses stability.
+
+    rho(M) is the largest eigenvalue of M's symmetric form sqrt(M * M.T),
+    the tridiagonal matrix with off-diagonals sqrt(n_m).  For k <= 3 it is
+    sqrt(n1 + n2) exactly, and critical_b's value is returned bit for bit
+    (eigvalsh can differ from it in the last ulp).
+    """
+    bc = critical_b(a, branching)
+    if len(tuple(branching)) <= 2:
+        return bc
+    m = level_matrix(branching)
+    return (1.0 - a) / np.linalg.eigvalsh(np.sqrt(m * m.T))[-1]
+
+
 def classify_regime(params: ModelParams, topo: StarlikeTopology, eq_tol: float = 0.0) -> Regime:
-    """Compare b against the critical threshold; ties within eq_tol classify as critical."""
+    """Compare b against the spectral threshold; ties within eq_tol classify as critical."""
     if eq_tol < 0:
         raise ValueError("eq_tol must be >= 0")
-    bc = critical_b(params.a, topo.branching)
+    bc = spectral_threshold(params.a, topo.branching)
     if params.b < bc - eq_tol:
         kind = RegimeKind.SUBCRITICAL
     elif params.b <= bc + eq_tol:
@@ -184,9 +221,13 @@ def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology,
 
 
 def _bracket_root(params: ModelParams, topo: StarlikeTopology,
-                  t_start: float = 1e-9, grid_points: int = 4096):
-    """Locate the first sign change of hub_gap on a geometric grid of (t_start, 1]."""
-    ts = np.geomspace(t_start, 1.0, grid_points)
+                  t_start: float = 1e-9, grid_points: int = 4096, t_end: float = 1.0):
+    """Locate the first sign change of hub_gap on a geometric grid of [t_start, t_end].
+
+    Returns (lo, hi), (t, t) at an exact zero, or None.  The defaults sample
+    all of (1e-9, 1]; the solver passes a small interval around its point.
+    """
+    ts = np.geomspace(t_start, t_end, grid_points)
     h = hub_gap(ts, params, topo)
     finite = np.isfinite(h)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -200,11 +241,12 @@ def _bracket_root(params: ModelParams, topo: StarlikeTopology,
     return ts[i + 1], ts[i + 1]
 
 
-def _bisect_root(params, topo, lo, hi, width: float = 1e-14) -> float:
+def _bisect_root(params, topo, lo, hi) -> float:
+    """Bisect a sign change of hub_gap on [lo, hi] to a relative width of 4u."""
     flo = float(hub_gap(lo, params, topo))
     if flo == 0.0 or lo == hi:
         return lo
-    while hi - lo > width:
+    while hi - lo > 4 * _U * hi:
         mid = 0.5 * (lo + hi)
         fm = float(hub_gap(mid, params, topo))
         if fm == 0.0:
@@ -217,6 +259,90 @@ def _bisect_root(params, topo, lo, hi, width: float = 1e-14) -> float:
     return 0.5 * (lo + hi)
 
 
+def _curve_root(params, topo, t0) -> float:
+    """The root of hub_gap next to t0: the narrowest interval t0 (1 -+ w), w
+    growing 16-fold from 2^-40, that brackets a sign change, then bisection."""
+    w = 2.0 ** -40
+    while w < 1.0:
+        bracket = _bracket_root(params, topo, t0 * (1.0 - w), grid_points=16,
+                                t_end=min(t0 * (1.0 + w), 1.0))
+        if bracket is not None:
+            return _bisect_root(params, topo, *bracket)
+        w *= 16.0
+    raise SolverInvariantError(
+        f"no sign change of the tail-curve mismatch around t={t0}; "
+        f"a={params.a}, b={params.b}, branching={topo.branching}")
+
+
+def _log_residual(d, params, topo):
+    """F(d) = -expm1(S(d)) - d and its tridiagonal Jacobian (diagonal, lower, upper).
+
+    S is the log of the map's survival product, a sum of log1p terms, so F
+    keeps relative accuracy at small d where 1 - (1 - a d)(...) cancels.
+    """
+    a, b = params.a, params.b
+    n = np.asarray(topo.branching, dtype=float)
+    lb = np.log1p(-b * d)
+    s = np.log1p(-a * d)
+    s[1:] += lb[:-1]
+    s[:-1] += n * lb[1:]
+    e = np.exp(s)
+    gb = b / (1.0 - b * d)
+    diag = e * a / (1.0 - a * d) - 1.0
+    return -np.expm1(s) - d, diag, e[1:] * gb[:-1], e[:-1] * n * gb[1:]
+
+
+def _thomas(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve a tridiagonal system by elimination without pivoting.
+
+    The Newton matrices here are negated M-matrices, for which this is stable.
+    """
+    low, dia, up, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, len(dia)):
+        w = low[i - 1] / dia[i - 1]
+        dia[i] -= w * up[i - 1]
+        r[i] -= w * r[i - 1]
+    r[-1] /= dia[-1]
+    for i in range(len(dia) - 2, -1, -1):
+        r[i] = (r[i] - up[i] * r[i + 1]) / dia[i]
+    return np.array(r)
+
+
+def _newton(d, params, topo) -> np.ndarray:
+    """Newton on F from a state d above the fixed point d*.
+
+    The map's Jacobian T'(d) = J + I decreases entrywise in d.  So from any d
+    >= d* with F(d) <= 0 (every iterate from the all-ones state is one), each
+    Newton step stays >= d* and descends, and -J is an M-matrix along the way.
+    A step that would still leave (0, 1]^k in rounding is cut so that no
+    level more than halves or passes 1.  It stops once the relative step is
+    below 4u, or once a step below _STALL fails to shrink the next one: next
+    to the threshold F is rounding noise at the float64 floor of about
+    u / epsilon (epsilon = b / b_crit - 1) before a step gets near 4u.
+    """
+    prev = np.inf
+    for _ in range(_NEWTON_MAX):
+        f, diag, lower, upper = _log_residual(d, params, topo)
+        step = _thomas(lower, diag, upper, -f)
+        new = d + step
+        if not np.all((new > 0.0) & (new <= 1.0)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                theta = np.min(np.where(new <= 0.0, -0.5 * d / step,
+                                        np.where(new > 1.0, (1.0 - d) / step, 1.0)))
+            new = np.minimum(d + theta * step, 1.0)
+            if not np.all(new > 0.0):  # NaN from a singular Jacobian
+                break
+        rel = float(np.max(np.abs(new - d) / new))
+        if prev < _STALL and rel >= prev:
+            return d
+        d = new
+        if rel <= 4 * _U:
+            return d
+        prev = rel
+    raise SolverInvariantError(
+        f"Newton did not converge; a={params.a}, b={params.b}, branching={topo.branching}")
+
+
 def _residual(d, params, topo) -> float:
     return float(np.max(np.abs(_step_level(d, params, topo) - d)))
 
@@ -225,10 +351,11 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology,
                       tol: float = 1e-12) -> FixedPointReport:
     """Classify the regime and, above threshold, find the nontrivial fixed point two ways.
 
-    Route (i) iterates the reduced map from the all-ones state; route (ii)
-    bisects the tail-curve mismatch.  Their sup-norm distance is reported as
-    `agreement`.  A missing bracket above threshold contradicts uniqueness and
-    raises SolverInvariantError.
+    Route (i) runs a short iteration of the map from the all-ones state
+    (tol is its stopping tolerance), then Newton in log form to the float64
+    floor.  Route (ii) bisects the tail-curve mismatch around route (i)'s
+    d_{k-1}.  Their sup-norm distance is reported as `agreement`.  Newton
+    failing, or no sign change near its point, raises SolverInvariantError.
     """
     regime = classify_regime(params, topo)
     trivial = np.zeros(topo.k)
@@ -242,29 +369,18 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology,
             agreement=0.0,
         )
 
-    traj = iterate(np.ones(topo.k), params, topo, tol=tol, max_iter=10**6)
-    point_iter = traj.limit
-    # Polish: a few extra map applications push the iterate to the
-    # floating-point limit without changing the contract.
-    for _ in range(200):
-        point_iter = _step_level(point_iter, params, topo)
-    iteration_residual = _residual(point_iter, params, topo)
+    warm = iterate(np.ones(topo.k), params, topo, tol=tol, max_iter=_WARM_STEPS).limit
+    point = _newton(warm, params, topo)
+    iteration_residual = _residual(point, params, topo)
 
-    bracket = _bracket_root(params, topo)
-    if bracket is None:
-        raise SolverInvariantError(
-            "supercritical regime but no sign change of the tail-curve mismatch on (1e-9, 1]; "
-            f"a={params.a}, b={params.b}, branching={topo.branching}, b_crit={regime.b_crit}"
-        )
-    t_root = _bisect_root(params, topo, *bracket)
-    point_curve = tail_curve(t_root, params, topo)
+    point_curve = tail_curve(_curve_root(params, topo, point[topo.k - 2]), params, topo)
     curve_root_residual = _residual(np.clip(point_curve, 0.0, 1.0), params, topo)
 
-    agreement = float(np.max(np.abs(point_iter - point_curve)))
+    agreement = float(np.max(np.abs(point - point_curve)))
     return FixedPointReport(
         regime=regime,
         trivial_point=trivial,
-        nontrivial_point=point_iter,
+        nontrivial_point=point,
         iteration_residual=iteration_residual,
         curve_root_residual=curve_root_residual,
         agreement=agreement,

@@ -13,6 +13,7 @@ from starsis import (ModelParams, coalescence_gap, conditional_infection_probabi
                      solve_fixed_point,
                      step_chain, step_full, step_level,
                      tail_composition, tail_curve)
+from starsis.fixedpoint import level_matrix
 
 A = 0.5
 TOPO3 = make_topology((6, 10))
@@ -110,6 +111,25 @@ def test_criterion_05_coalescence_contraction():
            f"(required <= {A})")
 
 
+@pytest.mark.parametrize("b", [0.05, 0.125, 0.3, 0.6])
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_criterion_05_gap_bounded_by_linearised_level_map(b, seed):
+    # The bound that does hold in place of the per-step factor a: each level's
+    # gap is at most a times its own plus b times its parent's and n_m times
+    # its children's, g_{t+1} <= (aI + bM) g_t with the spectral threshold's M.
+    params = ModelParams(A, b)
+    step = A * np.eye(TOPO3.k) + b * level_matrix(TOPO3.branching)
+    p = np.random.default_rng(seed).random(TOPO3.node_count)
+    gaps = coalescence_gap(p, TOPO3)
+    worst = -np.inf
+    for _ in range(60):
+        p = step_full(p, params, TOPO3)
+        nxt = coalescence_gap(p, TOPO3)
+        worst = max(worst, float(np.max(nxt - step @ gaps)))
+        gaps = nxt
+    report("5b", worst <= 1e-15, f"b={b}, seed {seed}: worst excess over (aI + bM) g {worst:.1e}")
+
+
 def test_criterion_06_convexity_suite():
     details = []
     ok = True
@@ -120,7 +140,7 @@ def test_criterion_06_convexity_suite():
         # both curves as d2 versus d1, the frame in which hub is convex
         hub_vals = phi_hub_inverse(grid, params, topo.branching[0])
         hub_second = hub_vals[:-2] - 2 * hub_vals[1:-1] + hub_vals[2:]
-        tail_vals = np.array([tail_composition(x, params, topo) for x in grid])
+        tail_vals = tail_composition(grid, params, topo)
         tail_second = tail_vals[:-2] - 2 * tail_vals[1:-1] + tail_vals[2:]
         this_ok = hub_second.min() >= -1e-12 and tail_second.max() <= 1e-12
         ok &= this_ok

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from starsis import critical_b, spectral_threshold
 from starsis.cli import main
 
 
@@ -194,6 +195,42 @@ def test_config_key_the_command_does_not_take_is_validation_error(tmp_path, caps
     assert code == 2
     assert out == ""
     assert "horizon" in err
+
+
+@pytest.mark.parametrize("command", ["threshold", "iterate", "curves"])
+def test_config_null_for_flag_with_a_default_is_validation_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": None, "b": 0.15}))
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "'a'" in err and "null" in err
+    assert not out_path.exists()
+
+
+def test_config_null_leaves_a_flag_without_default_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": None}))
+    code, out, _ = run_cli(capsys, "threshold", "--config", str(cfg))
+    assert code == 0
+    assert "regime" not in json.loads(out)
+
+
+def test_threshold_reports_the_spectral_threshold_for_deep_trees(capsys):
+    code, out, _ = run_cli(capsys, "threshold", "--a", "0.5", "--branching", "6,10,4",
+                           "--b", "0.113")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["b_crit"] == spectral_threshold(0.5, (6, 10, 4)) > critical_b(0.5, (6, 10, 4))
+    assert payload["regime"] == "subcritical"
+
+
+def test_fixedpoint_just_above_threshold_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "fixedpoint", "--a", "0.5", "--b", "0.126",
+                             "--branching", "6,10")
+    assert code == 0, err
+    assert json.loads(out)["agreement"] <= 1e-11
 
 
 def test_config_supplies_slope_tol(tmp_path, capsys):
