@@ -149,7 +149,8 @@ def tail_curve(t, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
     d[..., k - 2] = t_arr
     d[..., k - 1] = phi_leaf(t_arr, params)
     # Solve each middle equation for the level above, walking toward the hub.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Deep or wide trees overflow here to inf, which the raw result keeps.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for m in range(k - 1, 1, -1):
             dm = d[..., m - 1]
             dnext = d[..., m]
@@ -263,12 +264,16 @@ def _curve_root(params, topo, t0) -> float:
     """The root of hub_gap next to t0: the narrowest interval t0 (1 -+ w), w
     growing 16-fold from 2^-40, that brackets a sign change, then bisection."""
     w = 2.0 ** -40
-    while w < 1.0:
-        bracket = _bracket_root(params, topo, t0 * (1.0 - w), grid_points=16,
-                                t_end=min(t0 * (1.0 + w), 1.0))
-        if bracket is not None:
-            return _bisect_root(params, topo, *bracket)
-        w *= 16.0
+    # On deep or wide trees the curve leaves [0, 1] and phi_hub of it
+    # overflows.  That gap is inf or NaN, which the bracket skips, so the
+    # warnings would only reach the caller's stderr.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while w < 1.0:
+            bracket = _bracket_root(params, topo, t0 * (1.0 - w), grid_points=16,
+                                    t_end=min(t0 * (1.0 + w), 1.0))
+            if bracket is not None:
+                return _bisect_root(params, topo, *bracket)
+            w *= 16.0
     raise SolverInvariantError(
         f"no sign change of the tail-curve mismatch around t={t0}; "
         f"a={params.a}, b={params.b}, branching={topo.branching}")

@@ -14,17 +14,28 @@ def _require_three_levels(topo: StarlikeTopology):
         raise ValueError("this operation is defined for 3-level topologies only")
 
 
+def _region_one_mask(x, y, z, params: ModelParams, topo: StarlikeTopology):
+    """Elementwise Region I membership of validated levels x, y, z.
+
+    A state is in Region I iff it strictly exceeds all three partial-fixed-
+    point bounds.  This is the one statement of those inequalities, and every
+    Region I function calls it.  The three levels broadcast against each
+    other, so a (..., 3) batch passes its columns and region_slice its grid
+    axes without building the grid.
+    """
+    n1, n2 = topo.branching
+    return (
+        (x > phi_hub(y, params, n1))
+        & (y > phi_middle(x, z, params, n2))
+        & (z > phi_leaf(y, params))
+    )
+
+
 def in_region_one(d, params: ModelParams, topo: StarlikeTopology) -> bool:
     """True iff the state strictly exceeds all three partial-fixed-point bounds."""
     _require_three_levels(topo)
-    d = as_level_state(d, topo)
-    x, y, z = d
-    n1, n2 = topo.branching
-    return bool(
-        x > phi_hub(y, params, n1)
-        and y > phi_middle(x, z, params, n2)
-        and z > phi_leaf(y, params)
-    )
+    x, y, z = as_level_state(d, topo)
+    return bool(_region_one_mask(x, y, z, params, topo))
 
 
 def region_slice(z_level: float, grid_n: int, params: ModelParams,
@@ -39,15 +50,10 @@ def region_slice(z_level: float, grid_n: int, params: ModelParams,
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     xs = np.linspace(0.0, 1.0, grid_n)
-    ys = np.linspace(0.0, 1.0, grid_n)
-    n1, n2 = topo.branching
-    x = xs[:, None]
-    y = ys[None, :]
-    return (
-        (x > phi_hub(y, params, n1))
-        & (y > phi_middle(x, np.full_like(x, z_level), params, n2))
-        & (z_level > phi_leaf(y, params))
-    )
+    # z as an array keeps phi_middle's power an array power, which can differ
+    # in the last ulp from the power of a numpy scalar.
+    z = np.full((1, 1), z_level)
+    return _region_one_mask(xs[:, None], xs[None, :], z, params, topo)
 
 
 def strict_decrease_check(d, params: ModelParams, topo: StarlikeTopology) -> bool:
@@ -151,5 +157,8 @@ def sample_curves(params: ModelParams, topo: StarlikeTopology, grid_n: int,
         raise ValueError("grid_n must be >= 2")
     ts = np.linspace(t_min, 1.0, grid_n)
     d = tail_curve(ts, params, topo)
-    hub_curve = phi_hub(d[:, 1], params, topo.branching[0])
+    # Where the tail curve leaves [0, 1], phi_hub of it overflows; the table
+    # keeps those raw inf or NaN values without printing numpy warnings.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hub_curve = phi_hub(d[:, 1], params, topo.branching[0])
     return np.column_stack([ts, hub_curve, d[:, 0], d[:, 1]])

@@ -53,13 +53,18 @@ def step_level3(d, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
 def step_full(p, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
     """One step of the exact per-node recursion p_i' = 1 - (1 - a p_i) prod_j (1 - b p_j).
 
+    p has shape (..., N); each state along the leading axes steps on its own.
     The neighbour product is one multiply.reduceat over the topology's edge
     rows.  It multiplies each row in ascending source order, starting from the
-    first factor, so it is bitwise equal to a left-to-right loop from 1.0.
+    first factor, so it is bitwise equal to a left-to-right loop from 1.0, and
+    a batch row is bitwise equal to its own 1-D call.  The result's memory
+    layout follows reduceat's and need not be C-ordered.  The gather is a
+    take, which on a 1-D state is about twice as fast as p[..., src].
     """
     p = as_node_state(p, topo)
     src, _, starts = topo.edges
-    return 1.0 - (1.0 - params.a * p) * np.multiply.reduceat(1.0 - params.b * p[src], starts)
+    return 1.0 - (1.0 - params.a * p) * np.multiply.reduceat(
+        1.0 - params.b * p.take(src, axis=-1), starts, axis=-1)
 
 
 @dataclass
@@ -117,7 +122,11 @@ def iterate(d0, params: ModelParams, topo: StarlikeTopology, tol: float = 1e-12,
 
 
 def coalescence_gap(p, topo: StarlikeTopology) -> np.ndarray:
-    """Per-level max spread |p_i - p_j| over same-level node pairs (level 1 gap is 0)."""
+    """Per-level max spread |p_i - p_j| over same-level node pairs (level 1 gap is 0).
+
+    p has shape (..., N) and the gaps shape (..., k).
+    """
     p = as_node_state(p, topo)
     level_starts = topo.level_offsets[:-1]
-    return np.maximum.reduceat(p, level_starts) - np.minimum.reduceat(p, level_starts)
+    return (np.maximum.reduceat(p, level_starts, axis=-1)
+            - np.minimum.reduceat(p, level_starts, axis=-1))

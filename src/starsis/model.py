@@ -137,23 +137,30 @@ def as_level_state(d, topo: StarlikeTopology) -> np.ndarray:
 
 
 def as_node_state(p, topo: StarlikeTopology) -> np.ndarray:
-    """Validate a per-node probability vector (length node_count, entries in [0,1])."""
+    """Validate per-node probabilities of shape (..., node_count), entries in [0,1]."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (topo.node_count,):
-        raise ValueError(f"node state must have shape ({topo.node_count},), got {p.shape}")
+    if p.ndim == 0 or p.shape[-1] != topo.node_count:
+        raise ValueError(f"node state must have shape (..., {topo.node_count}), got {p.shape}")
     if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
         raise ValueError("node state entries must lie in [0,1]")
     return p
 
 
 def expand_state(d, topo: StarlikeTopology) -> np.ndarray:
-    """Per-node probabilities with every level-m node set to d[m-1]."""
+    """Per-node probabilities (..., N) with every level-m node set to d[..., m-1]."""
     d = as_level_state(d, topo)
-    return d[topo.node_levels - 1]
+    return d[..., topo.node_levels - 1]
 
 
 def reduce_state(p, topo: StarlikeTopology) -> np.ndarray:
-    """Per-level means of a per-node probability vector."""
-    p = as_node_state(p, topo)
+    """Per-level means (..., k) of per-node probabilities (..., N).
+
+    Each level's mean is numpy's pairwise sum along the last axis, which it
+    takes only where that axis is contiguous; on any other layout the rows
+    would be summed naively and differ in the last bits.  Hence the copy to
+    C order, which makes every row bitwise equal to its own 1-D call.
+    """
+    p = np.ascontiguousarray(as_node_state(p, topo))
     offs = topo.level_offsets
-    return np.array([p[offs[m]:offs[m + 1]].mean() for m in range(topo.k)])
+    return np.stack([p[..., offs[m]:offs[m + 1]].mean(axis=-1) for m in range(topo.k)],
+                    axis=-1)

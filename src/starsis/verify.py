@@ -3,9 +3,8 @@
 import numpy as np
 
 from .fixedpoint import (RegimeKind, classify_regime, critical_b, hub_gap,
-                         phi_hub, phi_hub_inverse, phi_leaf, phi_middle,
-                         solve_fixed_point)
-from .geometry import (check_convexity, in_region_one, region_slice, slopes_at_zero,
+                         phi_hub, phi_hub_inverse, phi_leaf, solve_fixed_point)
+from .geometry import (_region_one_mask, check_convexity, region_slice, slopes_at_zero,
                        tail_composition)
 from .meanfield import coalescence_gap, step_full, step_level
 from .model import ModelParams, StarlikeTopology, expand_state, reduce_state
@@ -15,7 +14,17 @@ from .stochastic import make_chain_state, run_trials
 def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 0,
                        eq_tol: float = 1e-12, slope_tol: float = 1e-6,
                        samples: int = 200) -> dict:
-    """Run the numerical invariant checks and return {check_name: passed}."""
+    """Run the numerical invariant checks and return {check_name: passed}.
+
+    Every check on many states makes one batched call.  The full-vs-reduced
+    check passes the first 50 random level states as one (50, k) batch
+    through expand_state (-> (50, N)), step_full (-> (50, N)) and
+    reduce_state (-> (50, k)), and compares with step_level of that batch.
+    On 3-level trees, the Region I checks filter `samples` random states,
+    plus the unit corner, with the mask that in_region_one,
+    strict_decrease_check and region_slice share, then test that mask and
+    strict decrease on the batch's step_level image.
+    """
     rng = np.random.default_rng(seed)
     k = topo.k
     checks = {}
@@ -35,12 +44,9 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
         np.array_equal(step_level(zero, params, topo), zero)
     )
 
-    err = 0.0
-    for row in d[:50]:
-        p = expand_state(row, topo)
-        err = max(err, float(np.max(np.abs(
-            reduce_state(step_full(p, params, topo), topo) - step_level(row, params, topo)
-        ))))
+    rows = d[:50]
+    full = reduce_state(step_full(expand_state(rows, topo), params, topo), topo)
+    err = float(np.max(np.abs(full - step_level(rows, params, topo)), initial=0.0))
     checks["full_vs_reduced_consistency"] = err <= 1e-14
 
     if k == 3:
@@ -64,14 +70,12 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
             lambda x: tail_composition(x, params, topo), (1e-3, 1.0), 500
         ).verdict == "concave"
 
-        region_pts = [row for row in rng.random((samples, 3)) if in_region_one(row, params, topo)]
-        region_pts.append(np.ones(3))
-        closure = all(
-            in_region_one(step_level(p, params, topo), params, topo) for p in region_pts
-        )
-        decrease = all(np.all(step_level(p, params, topo) < p) for p in region_pts)
-        checks["region_one_closed_under_map"] = closure
-        checks["region_one_strict_decrease"] = decrease
+        pts = rng.random((samples, 3))
+        pts = np.vstack([pts[_region_one_mask(*pts.T, params, topo)], np.ones(3)])
+        nxt = step_level(pts, params, topo)
+        closure = _region_one_mask(*nxt.T, params, topo)
+        checks["region_one_closed_under_map"] = bool(np.all(closure))
+        checks["region_one_strict_decrease"] = bool(np.all(nxt < pts))
 
         checks["region_slice_empty_at_z_zero"] = not region_slice(0.0, 41, params, topo).any()
         # pick a z strictly above phi_leaf(1) so the (1,1) corner qualifies
