@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -66,7 +67,16 @@ def _build_parser():
     return parser, commands
 
 
-def _apply_config(args, parser, commands, argv):
+@functools.cache
+def _parser():
+    """The parser main reuses for every call in this process.
+
+    It must never be mutated: a changed default would leak into later calls.
+    """
+    return _build_parser()[0]
+
+
+def _apply_config(args, argv):
     """Parse argv again with the --config values as the command's defaults.
 
     Flags given on the command line still win.  A key the command does not
@@ -74,10 +84,12 @@ def _apply_config(args, parser, commands, argv):
     (`{"a": null}`).  A non-null value goes in as its text, so argparse runs
     it through the flag's type like a command-line string: a seed of 1.5 is a
     usage error (exit 2).  set_defaults changes the shared flags' defaults for
-    every command of this parser, which main builds afresh for each call.
+    every command of a parser, so the reparse runs on a parser built for this
+    call and the one main reuses is left untouched.
     """
     if args.config is None:
         return args
+    parser, commands = _build_parser()
     with open(args.config) as fh:
         cfg = json.load(fh)
     takes = set(vars(args)) - {"command", "config"}
@@ -112,15 +124,23 @@ def _emit_json(payload, out, sidecar=False):
 def _emit_table(header, table, out):
     """Stream a 2-D float table as CSV to --out or stdout, _BLOCK_ROWS rows at a time.
 
-    "%.17g" % x is format(x, ".17g") on every double, so values round-trip,
-    and integral values (step indices, 0/1 flags) print with no point.
+    Every cell is "%.17g" % x, which is format(x, ".17g"), so values
+    round-trip and integral values (step indices, 0/1 flags) print with no
+    point.  Each block formats each of its distinct bit patterns once and
+    gathers the strings per cell.  Keying on the bits rather than the values
+    keeps -0.0 apart from 0.0, which print differently.
     """
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    table = np.asarray(table, dtype=np.float64)
+    row = ",".join(["%s"] * table.shape[1]) + "\n"
     with _sink(out, sys.stdout) as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start:start + _BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            keys, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            # One %-format over the whole key vector runs in C; no formatted
+            # double contains whitespace, so split() recovers the strings.
+            text = ("%.17g\n" * len(keys) % tuple(keys.view(np.float64).tolist())).split()
+            fh.write((row * len(block)) % tuple([text[i] for i in inverse.tolist()]))
 
 
 def _sink(path, stream):
@@ -246,10 +266,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        args = _apply_config(args, parser, commands, argv)
+        args = _apply_config(args, argv)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -57,10 +57,10 @@ def step_chain(state: ChainState, params: ModelParams, topo: StarlikeTopology,
     inf = state.infected
     _check_infected(inf, topo)
     src, dst, _ = topo.edges
-    u_node = rng.random(topo.node_count)
-    u_edge = rng.random(len(src))
-    nxt = inf & (u_node < params.a)
-    nxt[dst[inf[src] & (u_edge < params.b)]] = True
+    # One call draws the same stream as a node call followed by an edge call.
+    u = rng.random(topo.node_count + len(src))
+    nxt = inf & (u[:topo.node_count] < params.a)
+    nxt[dst[inf[src] & (u[topo.node_count:] < params.b)]] = True
     return ChainState(infected=nxt, t=state.t + 1)
 
 

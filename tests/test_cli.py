@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from starsis import critical_b, spectral_threshold
-from starsis.cli import main
+from starsis.cli import _emit_table, main
 
 
 def run_cli(capsys, *argv):
@@ -275,9 +276,10 @@ def test_config_value_goes_through_flag_type(tmp_path, capsys, command, cfg):
 
 MODEL = ["--a", "0.5", "--branching", "6,10"]
 
-# sha256 of the CSV and, for iterate, the sidecar that `<argv> --out <file>`
-# writes, as formatted cell by cell with format(x, ".17g") before the tables
-# were streamed as arrays.
+# sha256 of the CSV and, for iterate and simulate, the sidecar that
+# `<argv> --out <file>` writes, as formatted cell by cell with format(x, ".17g")
+# before the tables were streamed as arrays (simulate: before each distinct
+# value was formatted once per block).
 CSV_SHA256 = [
     (["iterate", *MODEL, "--b", "0.08"],
      ("3ad21e17289916d3494d6814bbc0e58ec35e704abf2bc31cf61ffe20f5556116",
@@ -297,6 +299,9 @@ CSV_SHA256 = [
      ("08aba16630072f50a92b4d2cd81e57f81cdedd3c644a48823b77d80c073ab24b",)),
     (["regions", *MODEL, "--b", "0.08", "--z", "0.25", "--grid-n", "21"],
      ("fa3243bdb84e159989d2b2836f6e45982ededdb7f61b44317aed14dc099d9d8e",)),
+    (["simulate", *MODEL, "--b", "0.3", "--horizon", "50", "--trials", "5", "--seed", "11"],
+     ("86613ecf902f0a7994d61834c00c85a0febc9d08d0a48f5854c23a054523101f",
+      "e8c467fe01449d0f0e62abb0995d37f9565ea49fdb732b38d66494b17e6ac48d")),
 ]
 
 
@@ -306,3 +311,81 @@ def test_csv_bytes_pinned(tmp_path, argv, want):
     assert main([*argv, "--out", str(out)]) == 0
     paths = (out, tmp_path / "out.csv.json")[:len(want)]
     assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == want
+
+
+def cell_by_cell(header, table):
+    return header + "\n" + "".join(",".join(format(x, ".17g") for x in row) + "\n"
+                                   for row in table.tolist())
+
+
+def emit_tables():
+    rng = np.random.default_rng(3)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                     0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    subnormal = np.array([5e-324, -5e-324, 2.2250738585072009e-308, 1e-310])
+    big = np.array([2.0**53, 2.0**53 + 2, -2.0**53, 2.0**63, 1e22, np.finfo(float).max])
+    # one value in the last row of the first block and the first of the second
+    straddle = rng.random((2049, 3))
+    straddle[1023:1025] = 0.1
+    mixed = rng.choice(np.concatenate([[0.0, -0.0, np.inf, -np.inf, 1.0, 7.0], nans,
+                                       subnormal, big]), size=(2049, 4))
+    return {
+        "signed_zeros": np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]),
+        "nan_payloads": nans.reshape(2, 2),
+        "infinities": np.array([[np.inf, -np.inf, 1.0]]),
+        "subnormals": subnormal.reshape(1, -1),
+        "integral_beyond_2_53": big.reshape(3, 2),
+        "straddle_block_boundary": straddle,
+        "mixed_2049_rows": mixed,
+        "no_rows": np.empty((0, 3)),
+        "one_column": rng.integers(0, 5, size=(1500, 1)).astype(float) / 4,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(emit_tables()))
+def test_emit_table_bytes_equal_cell_by_cell_format(tmp_path, capsys, name):
+    table = emit_tables()[name]
+    header = ",".join(f"c{j}" for j in range(table.shape[1]))
+    _emit_table(header, table, None)
+    assert capsys.readouterr().out == cell_by_cell(header, table)
+    out = tmp_path / "t.csv"
+    _emit_table(header, table, str(out))
+    assert out.read_bytes() == cell_by_cell(header, table).encode()
+
+
+def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": 0.3}))
+    code, out, _ = run_cli(capsys, "threshold", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["a"] == 0.3
+    code, out, _ = run_cli(capsys, "threshold")
+    assert code == 0 and json.loads(out)["a"] == 0.5
+
+
+def test_usage_error_leaves_the_next_call_working(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--horizon", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "threshold", "--b", "0.15")
+    assert code == 0 and json.loads(out)["regime"] == "supercritical"
+
+
+def test_main_builds_no_parser_after_the_first_call(tmp_path, capsys, monkeypatch):
+    run_cli(capsys, "threshold")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["threshold"], ["threshold", "--b", "0.1"], ["regions", "--b", "0.08",
+                                                               "--z", "0.5", "--grid-n", "3"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built == []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 0.1}))
+    assert run_cli(capsys, "threshold", "--config", str(cfg))[0] == 0
+    assert built  # a --config call parses again on a parser of its own

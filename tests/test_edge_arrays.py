@@ -49,6 +49,15 @@ def loop_step_full(p, params, topo):
     return out
 
 
+def two_draw_step(inf, params, src, dst, rng):
+    """One chain step drawing the node uniforms, then the edge uniforms, in two calls."""
+    u_node = rng.random(len(inf))
+    u_edge = rng.random(len(src))
+    nxt = inf & (u_node < params.a)
+    np.logical_or.at(nxt, dst[inf[src] & (u_edge < params.b)], True)
+    return nxt
+
+
 def loop_run_trials(params, topo, infected, horizon, trials, master_seed):
     src, dst = loop_edges(topo)
     offs = topo.level_offsets
@@ -63,11 +72,7 @@ def loop_run_trials(params, topo, infected, horizon, trials, master_seed):
             if ext is None and not inf.any():
                 ext = t
             if t < horizon:
-                u_node = rng.random(topo.node_count)
-                u_edge = rng.random(len(src))
-                nxt = inf & (u_node < params.a)
-                np.logical_or.at(nxt, dst[inf[src] & (u_edge < params.b)], True)
-                inf = nxt
+                inf = two_draw_step(inf, params, src, dst, rng)
         extinction.append(ext)
     return total / (trials * np.array(topo.level_sizes, dtype=float)), extinction
 
@@ -132,6 +137,22 @@ def test_run_trials_matches_full_horizon_loop(branching, a, b, seed):
     want_prev, want_ext = loop_run_trials(params, topo, init.infected, 120, 12, seed)
     assert got.prevalence.tobytes() == want_prev.tobytes()
     assert got.extinction_steps == want_ext
+
+
+@pytest.mark.parametrize("branching", [(6, 10), (30, 30, 10), (1,), (3, 4)])
+@pytest.mark.parametrize("a, b", [(0.5, 0.3), (0.3, 0.02)])
+def test_step_chain_consumes_the_two_draw_stream(branching, a, b):
+    topo = make_topology(branching)
+    params = ModelParams(a, b)
+    src, dst = loop_edges(topo)
+    rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    state = make_chain_state(topo, all_infected=True)
+    want = state.infected
+    for _ in range(40):
+        state = step_chain(state, params, topo, rng)
+        want = two_draw_step(want, params, src, dst, want_rng)
+        assert state.infected.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_run_trials_from_all_healthy_stops_at_zero():
