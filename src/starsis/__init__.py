@@ -11,9 +11,7 @@ from .geometry import (ConvexityReport, SlopeReport, check_convexity,
 from .meanfield import Trajectory, coalescence_gap, iterate, step_full, step_level
 from .model import (ModelParams, StarlikeTopology, expand_state, make_topology,
                     reduce_state)
-from .stochastic import (ChainState, RunSummary,
-                         conditional_infection_probability, make_chain_state,
-                         run_trials, step_chain)
+from .stochastic import ChainState, RunSummary, make_chain_state, run_trials, step_chain
 
 __all__ = [
     "ModelParams", "StarlikeTopology", "make_topology",
@@ -29,7 +27,7 @@ __all__ = [
     "check_convexity", "ConvexityReport", "slopes_at_zero", "SlopeReport",
     "tail_composition", "sample_curves",
     "ChainState", "make_chain_state", "step_chain", "run_trials",
-    "RunSummary", "conditional_infection_probability",
+    "RunSummary",
 ]
 
 __version__ = "0.1.0"

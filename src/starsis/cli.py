@@ -8,8 +8,8 @@ import sys
 
 import numpy as np
 
-from .fixedpoint import (RegimeKind, SolverInvariantError, classify_regime,
-                         solve_fixed_point, spectral_threshold)
+from .fixedpoint import (SolverInvariantError, classify_regime, solve_fixed_point,
+                         spectral_threshold)
 from .geometry import region_slice, sample_curves
 from .meanfield import iterate, step_level
 from .model import ModelParams, make_topology
@@ -143,6 +143,10 @@ def _emit_table(header, table, out):
             fh.write((row * len(block)) % tuple([text[i] for i in inverse.tolist()]))
 
 
+def _finite_or_none(x):
+    return x if np.isfinite(x) else None
+
+
 def _sink(path, stream):
     """The file at path opened for writing, or stream when path is None."""
     return contextlib.nullcontext(stream) if path is None else open(path, "w", newline="")
@@ -185,8 +189,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_fixedpoint(args) -> int:
     _, params, topo = _model_inputs(args)
-    tol = args.tol
-    report = solve_fixed_point(params, topo, tol=tol)
+    report = solve_fixed_point(params, topo, tol=args.tol)
     payload = {
         "regime": report.regime.kind.value,
         "b_crit": report.regime.b_crit,
@@ -196,15 +199,12 @@ def cmd_fixedpoint(args) -> int:
             else [float(v) for v in report.nontrivial_point]
         ),
         "iteration_residual": report.iteration_residual,
-        "curve_root_residual": report.curve_root_residual,
-        "agreement": report.agreement,
+        # inf where the curve route found no root; JSON has no infinity
+        "curve_root_residual": _finite_or_none(report.curve_root_residual),
+        "agreement": _finite_or_none(report.agreement),
+        "error_bound": [float(v) for v in report.error_bound],
     }
     _emit_json(payload, args.out)
-    if report.regime.kind is RegimeKind.SUPERCRITICAL and report.agreement > 10.0 * tol:
-        sys.stderr.write(
-            f"solver disagreement {report.agreement:g} exceeds 10*tol={10 * tol:g}\n"
-        )
-        return EXIT_INVARIANT
     return EXIT_OK
 
 

@@ -14,10 +14,11 @@ _U = np.finfo(float).eps / 2  # unit roundoff
 _WARM_STEPS = 8
 _NEWTON_MAX = 100
 _STALL = 1e-6
+_MAX_REL_ERROR = 1e-3  # the largest relative error bound a solve may return
 
 
 class SolverInvariantError(RuntimeError):
-    """An internal solver invariant failed (e.g. no bracket in the supercritical regime)."""
+    """An internal solver invariant failed (e.g. Newton did not converge)."""
 
 
 class RegimeKind(enum.Enum):
@@ -40,6 +41,7 @@ class FixedPointReport:
     iteration_residual: float
     curve_root_residual: float
     agreement: float
+    error_bound: np.ndarray
 
 
 def critical_b(a: float, branching) -> float:
@@ -222,11 +224,10 @@ def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology,
 
 
 def _bracket_root(params: ModelParams, topo: StarlikeTopology,
-                  t_start: float = 1e-9, grid_points: int = 4096, t_end: float = 1.0):
+                  t_start: float, grid_points: int, t_end: float):
     """Locate the first sign change of hub_gap on a geometric grid of [t_start, t_end].
 
-    Returns (lo, hi), (t, t) at an exact zero, or None.  The defaults sample
-    all of (1e-9, 1]; the solver passes a small interval around its point.
+    Returns (lo, hi), (t, t) at an exact zero, or None.
     """
     ts = np.geomspace(t_start, t_end, grid_points)
     h = hub_gap(ts, params, topo)
@@ -260,9 +261,10 @@ def _bisect_root(params, topo, lo, hi) -> float:
     return 0.5 * (lo + hi)
 
 
-def _curve_root(params, topo, t0) -> float:
+def _curve_root(params, topo, t0) -> Optional[float]:
     """The root of hub_gap next to t0: the narrowest interval t0 (1 -+ w), w
-    growing 16-fold from 2^-40, that brackets a sign change, then bisection."""
+    growing 16-fold from 2^-40, that brackets a sign change, then bisection.
+    None if no such interval brackets one."""
     w = 2.0 ** -40
     # On deep or wide trees the curve leaves [0, 1] and phi_hub of it
     # overflows.  That gap is inf or NaN, which the bracket skips, so the
@@ -274,9 +276,7 @@ def _curve_root(params, topo, t0) -> float:
             if bracket is not None:
                 return _bisect_root(params, topo, *bracket)
             w *= 16.0
-    raise SolverInvariantError(
-        f"no sign change of the tail-curve mismatch around t={t0}; "
-        f"a={params.a}, b={params.b}, branching={topo.branching}")
+    return None
 
 
 def _log_residual(d, params, topo):
@@ -354,13 +354,17 @@ def _residual(d, params, topo) -> float:
 
 def solve_fixed_point(params: ModelParams, topo: StarlikeTopology,
                       tol: float = 1e-12) -> FixedPointReport:
-    """Classify the regime and, above threshold, find the nontrivial fixed point two ways.
+    """Classify the regime and, above threshold, find the nontrivial fixed point.
 
-    Route (i) runs a short iteration of the map from the all-ones state
-    (tol is its stopping tolerance), then Newton in log form to the float64
-    floor.  Route (ii) bisects the tail-curve mismatch around route (i)'s
-    d_{k-1}.  Their sup-norm distance is reported as `agreement`.  Newton
-    failing, or no sign change near its point, raises SolverInvariantError.
+    At most 8 map steps from the all-ones state (tol is their stopping
+    tolerance and nothing else) start Newton in log form, which runs to the
+    float64 floor.  `error_bound` bounds that point's error componentwise
+    (zeros below the threshold).  Only Newton failing, or a bound that is not
+    finite or exceeds 1e-3 relative, raises SolverInvariantError.
+    `agreement`, the sup-norm distance to the tail-curve root next to the
+    point's d_{k-1}, is a report that never raises: inf where no sign change
+    is found, and large where the curve's level-by-level rebuild amplifies
+    rounding.
     """
     regime = classify_regime(params, topo)
     trivial = np.zeros(topo.k)
@@ -372,16 +376,32 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology,
             iteration_residual=0.0,
             curve_root_residual=0.0,
             agreement=0.0,
+            error_bound=np.zeros(topo.k),
         )
 
     warm = iterate(np.ones(topo.k), params, topo, tol=tol, max_iter=_WARM_STEPS).limit
     point = _newton(warm, params, topo)
+    # B = (-J)^-1 (|F| + c u d), c = 4 (max n + 3), a first-order componentwise
+    # error bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2002) whose c u d covers F's rounding.  -J is an M-matrix, so (-J)^-1 >= 0
+    # and |J^-1| v for v >= 0 is one tridiagonal solve.
+    f, diag, lower, upper = _log_residual(point, params, topo)
+    c = 4 * (max(topo.branching) + 3)
+    error_bound = _thomas(lower, diag, upper, -(np.abs(f) + c * _U * point))
+    rel_bound = float(np.max(error_bound / point))
+    if not rel_bound <= _MAX_REL_ERROR:  # NaN or inf fails too
+        raise SolverInvariantError(
+            f"fixed point error bound {rel_bound:g} relative exceeds {_MAX_REL_ERROR:g}; "
+            f"a={params.a}, b={params.b}, branching={topo.branching}")
     iteration_residual = _residual(point, params, topo)
 
-    point_curve = tail_curve(_curve_root(params, topo, point[topo.k - 2]), params, topo)
-    curve_root_residual = _residual(np.clip(point_curve, 0.0, 1.0), params, topo)
-
-    agreement = float(np.max(np.abs(point - point_curve)))
+    t_curve = _curve_root(params, topo, point[topo.k - 2])
+    if t_curve is None:
+        curve_root_residual = agreement = np.inf
+    else:
+        point_curve = tail_curve(t_curve, params, topo)
+        curve_root_residual = _residual(np.clip(point_curve, 0.0, 1.0), params, topo)
+        agreement = float(np.max(np.abs(point - point_curve)))
     return FixedPointReport(
         regime=regime,
         trivial_point=trivial,
@@ -389,4 +409,5 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology,
         iteration_residual=iteration_residual,
         curve_root_residual=curve_root_residual,
         agreement=agreement,
+        error_bound=error_bound,
     )

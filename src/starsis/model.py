@@ -62,22 +62,6 @@ class StarlikeTopology:
     def node_count(self) -> int:
         return self.level_offsets[-1]
 
-    def level_of(self, node_index: int) -> int:
-        """Level (1..k) of a node index in breadth-first order."""
-        if not (0 <= node_index < self.node_count):
-            raise ValueError(f"node index {node_index} out of range [0, {self.node_count})")
-        for m in range(self.k):
-            if node_index < self.level_offsets[m + 1]:
-                return m + 1
-        raise AssertionError("unreachable")
-
-    def parent_of(self, node_index: int) -> int:
-        m = self.level_of(node_index)
-        if m == 1:
-            raise ValueError("the hub has no parent")
-        j = node_index - self.level_offsets[m - 1]
-        return self.level_offsets[m - 2] + j // self.branching[m - 2]
-
     @cached_property
     def node_levels(self) -> np.ndarray:
         """Level (1..k) of every node, breadth-first order."""
@@ -107,11 +91,6 @@ class StarlikeTopology:
         for arr in (src, dst, starts):
             arr.flags.writeable = False
         return EdgeArrays(src=src, dst=dst, starts=starts)
-
-    @cached_property
-    def neighbors(self) -> list:
-        """Sorted neighbor index arrays, one per node (views of the edge sources)."""
-        return np.split(self.edges.src, self.edges.starts[1:])
 
 
 class EdgeArrays(NamedTuple):

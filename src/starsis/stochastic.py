@@ -5,7 +5,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .meanfield import step_full
 from .model import ModelParams, StarlikeTopology
 
 
@@ -35,12 +34,6 @@ def _check_infected(infected, topo: StarlikeTopology) -> None:
         raise ValueError(f"infected must be a bool array, got dtype {dtype}")
     if infected.shape != (topo.node_count,):
         raise ValueError(f"infected must have shape ({topo.node_count},), got {infected.shape}")
-
-
-def conditional_infection_probability(state: ChainState, params: ModelParams,
-                                      topo: StarlikeTopology) -> np.ndarray:
-    """One-step infection probability of each node given the current configuration."""
-    return step_full(state.infected.astype(float), params, topo)
 
 
 def step_chain(state: ChainState, params: ModelParams, topo: StarlikeTopology,

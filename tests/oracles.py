@@ -24,6 +24,18 @@ def step_level3(d, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
     )
 
 
+def loop_neighbors(topo: StarlikeTopology) -> list:
+    """Sorted neighbour lists of every node, built child by child from the level offsets."""
+    nbrs = [[] for _ in range(topo.node_count)]
+    for m in range(2, topo.k + 1):
+        lo, hi = topo.level_offsets[m - 1], topo.level_offsets[m]
+        for child in range(lo, hi):
+            parent = topo.level_offsets[m - 2] + (child - lo) // topo.branching[m - 2]
+            nbrs[child].append(parent)
+            nbrs[parent].append(child)
+    return [sorted(ns) for ns in nbrs]
+
+
 def fixed_point_mp(a, b, branching, dps=50):
     """Nontrivial fixed point of the level map at dps digits, as float64.
 

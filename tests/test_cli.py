@@ -234,6 +234,29 @@ def test_fixedpoint_just_above_threshold_exits_zero(capsys):
     assert json.loads(out)["agreement"] <= 1e-11
 
 
+@pytest.mark.parametrize("a, b, branching", [("0.5", "0.999", "6,10"), ("0.1", "0.9", "2,50")])
+def test_fixedpoint_exits_zero_where_the_curve_check_misses(capsys, a, b, branching):
+    # A level rounds to 1 here and the tail-curve root lands far off; the
+    # error bound accepts Newton's point, which equals the mpmath oracle.
+    code, out, err = run_cli(capsys, "fixedpoint", "--a", a, "--b", b, "--branching", branching)
+    assert code == 0, err
+    payload = json.loads(out)
+    point, bound = np.array(payload["nontrivial_point"]), np.array(payload["error_bound"])
+    assert np.max(bound / point) <= 1e-13
+
+
+def test_fixedpoint_prints_null_where_the_curve_route_finds_no_root(capsys):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    code, out, err = run_cli(capsys, "fixedpoint", "--a", "0.5", "--b", "0.6",
+                             "--branching", "24,44,40,28")
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["agreement"] is None and payload["curve_root_residual"] is None
+    assert len(payload["error_bound"]) == 5
+
+
 def test_config_supplies_slope_tol(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"slope-tol": 1e-15}))

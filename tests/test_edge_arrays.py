@@ -1,9 +1,9 @@
 """The topology's edge arrays and the per-node layers built on them.
 
-The loop implementations these replaced are kept here as oracles: the
-neighbour lists and directed edges built node by node, the per-node product
-loop of step_full, and the per-step run_trials loop that simulates every trial
-to the horizon.  Every comparison is exact.
+The loop implementations these replaced are kept as oracles: the neighbour
+lists (in oracles.py) and directed edges built node by node, the per-node
+product loop of step_full, and the per-step run_trials loop that simulates
+every trial to the horizon.  Every comparison is exact.
 """
 
 import hashlib
@@ -11,23 +11,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from starsis import (ChainState, ModelParams, coalescence_gap,
-                     conditional_infection_probability, make_chain_state,
+from oracles import loop_neighbors
+from starsis import (ChainState, ModelParams, coalescence_gap, make_chain_state,
                      make_topology, run_trials, step_chain, step_full)
 from starsis.cli import main
 
 SHAPES = [(6, 10), (3, 3, 3), (1, 1, 1), (1, 5), (10, 3, 3, 3, 2), (30, 30, 10)]
-
-
-def loop_neighbors(topo):
-    nbrs = [[] for _ in range(topo.node_count)]
-    for m in range(2, topo.k + 1):
-        lo, hi = topo.level_offsets[m - 1], topo.level_offsets[m]
-        for child in range(lo, hi):
-            parent = topo.level_offsets[m - 2] + (child - lo) // topo.branching[m - 2]
-            nbrs[child].append(parent)
-            nbrs[parent].append(child)
-    return [sorted(ns) for ns in nbrs]
 
 
 def loop_edges(topo):
@@ -85,7 +74,6 @@ def test_edge_arrays_match_loop_construction(branching):
     assert src.dtype == dst.dtype == starts.dtype == np.intp
     assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
     assert np.array_equal(starts, np.searchsorted(want_dst, np.arange(topo.node_count)))
-    assert [list(ns) for ns in topo.neighbors] == loop_neighbors(topo)
     assert not src.flags.writeable
 
 
@@ -119,7 +107,7 @@ def test_conditional_probability_bitwise_equals_loop(branching):
     topo = make_topology(branching)
     params = ModelParams(0.5, 0.3)
     infected = np.random.default_rng(1).random(topo.node_count) < 0.4
-    got = conditional_infection_probability(ChainState(infected), params, topo)
+    got = step_full(infected.astype(float), params, topo)
     assert got.tobytes() == loop_step_full(infected.astype(float), params, topo).tobytes()
 
 

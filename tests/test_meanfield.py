@@ -126,10 +126,11 @@ def test_sibling_leaf_gap_contracts_by_factor_a():
     params = ModelParams(0.5, 0.3)
     rng = np.random.default_rng(6)
     p = rng.random(67)
+    parent = topo.edges.src[topo.edges.starts]  # each non-hub row starts with the parent
     for _ in range(10):
         nxt = step_full(p, params, topo)
         for leaf in range(7, 67 - 1):
-            if topo.parent_of(leaf) == topo.parent_of(leaf + 1):
+            if parent[leaf] == parent[leaf + 1]:
                 before = abs(p[leaf] - p[leaf + 1])
                 after = abs(nxt[leaf] - nxt[leaf + 1])
                 assert after <= 0.5 * before + 1e-15

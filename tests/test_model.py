@@ -28,17 +28,6 @@ def test_invalid_params_rejected(bad_a, bad_b):
         ModelParams(a=bad_a, b=bad_b)
 
 
-def test_level_of():
-    topo = make_topology((6, 10))
-    assert topo.level_of(0) == 1
-    assert topo.level_of(3) == 2
-    assert topo.level_of(66) == 3
-    with pytest.raises(ValueError):
-        topo.level_of(67)
-    with pytest.raises(ValueError):
-        topo.level_of(-1)
-
-
 def test_node_count_formula_random_branchings():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -50,29 +39,6 @@ def test_node_count_formula_random_branchings():
             prod *= n
             expected += prod
         assert topo.node_count == expected
-
-
-def test_neighbors_structure():
-    topo = make_topology((2, 2))
-    nbrs = {i: list(topo.neighbors[i]) for i in range(topo.node_count)}
-    assert nbrs == {
-        0: [1, 2],
-        1: [0, 3, 4],
-        2: [0, 5, 6],
-        3: [1],
-        4: [1],
-        5: [2],
-        6: [2],
-    }
-
-
-def test_parent_of():
-    topo = make_topology((6, 10))
-    assert topo.parent_of(1) == 0
-    assert topo.parent_of(7) == 1   # first level-3 node hangs off the first level-2 node
-    assert topo.parent_of(66) == 6
-    with pytest.raises(ValueError):
-        topo.parent_of(0)
 
 
 def test_expand_reduce_round_trip():

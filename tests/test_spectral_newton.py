@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import starsis.fixedpoint as fixedpoint
 from oracles import fixed_point_mp
-from starsis import (ModelParams, RegimeKind, classify_regime, critical_b, make_topology,
-                     solve_fixed_point, spectral_threshold)
+from starsis import (ModelParams, RegimeKind, SolverInvariantError, classify_regime,
+                     critical_b, make_topology, solve_fixed_point, spectral_threshold)
+from starsis.cli import main
 from starsis.fixedpoint import level_matrix
 
 TREES = [(6, 10), (6, 10, 4), (2, 2, 2, 2, 2, 2), (30, 30, 10)]
@@ -150,3 +153,60 @@ def test_bisection_reaches_a_relative_width_of_4u():
     t_star = solve_fixed_point(params, topo).nontrivial_point[1]
     root = fixedpoint._bisect_root(params, topo, t_star * (1 - 1e-3), t_star * (1 + 1e-3))
     assert abs(root - t_star) <= 1e-13 * t_star
+
+
+@pytest.mark.parametrize("a, b, branching", [
+    (0.5, 0.999, (6, 10)), (0.1, 0.9, (2, 50)), (0.5, 0.9, (6, 10, 4)),
+    (0.8, 0.72, (32, 26, 14, 16, 3, 4)),
+    (0.5, 0.6, (24, 44, 40, 28)),  # the curve route finds no sign change here
+])
+def test_points_the_curve_check_misses_are_accepted_with_a_tight_bound(a, b, branching):
+    report = solve_fixed_point(ModelParams(a, b), make_topology(branching))
+    oracle = fixed_point_mp(a, b, branching)
+    point, bound = report.nontrivial_point, report.error_bound
+    assert np.max(np.abs(point - oracle) / oracle) <= 1e-15
+    assert np.all(np.abs(point - oracle) <= bound)
+    assert np.max(bound / point) <= 1e-13
+
+
+def test_error_bound_is_zero_below_the_threshold():
+    report = solve_fixed_point(ModelParams(0.5, 0.1), make_topology((6, 10)))
+    assert report.error_bound.tolist() == [0.0, 0.0, 0.0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(branching=st.lists(st.integers(1, 50), min_size=1, max_size=7),
+       a=st.floats(0.01, 0.99), q=st.floats(0.0, 1.0))
+def test_error_bound_covers_the_mpmath_error_over_the_random_domain(branching, a, q):
+    # b / b_spec is log-uniform from 1 + 1e-8 up to b = 0.999.
+    b_spec = spectral_threshold(a, branching)
+    lo, hi = np.log1p(1e-8), np.log(0.999 / b_spec)
+    b = b_spec * np.exp(lo + q * (hi - lo))
+    report = solve_fixed_point(ModelParams(a, b), make_topology(branching))
+    oracle = fixed_point_mp(a, b, branching, dps=40)
+    assert np.all(np.abs(report.nontrivial_point - oracle) <= report.error_bound)
+
+
+def _nan_jacobian(monkeypatch):
+    log_residual = fixedpoint._log_residual
+
+    def nan_diagonal(d, params, topo):
+        f, diag, lower, upper = log_residual(d, params, topo)
+        return f, np.full_like(diag, np.nan), lower, upper
+
+    monkeypatch.setattr(fixedpoint, "_log_residual", nan_diagonal)
+
+
+def _tiny_bound_limit(monkeypatch):
+    monkeypatch.setattr(fixedpoint, "_MAX_REL_ERROR", 1e-16)
+
+
+@pytest.mark.parametrize("fault, message", [(_nan_jacobian, "Newton did not converge"),
+                                            (_tiny_bound_limit, "error bound")])
+def test_a_rejected_solve_raises_and_the_cli_exits_3(monkeypatch, capsys, fault, message):
+    fault(monkeypatch)
+    with pytest.raises(SolverInvariantError, match=message):
+        solve_fixed_point(ModelParams(0.5, 0.15), make_topology((6, 10)))
+    assert main(["fixedpoint", "--a", "0.5", "--b", "0.15", "--branching", "6,10"]) == 3
+    assert message in capsys.readouterr().err

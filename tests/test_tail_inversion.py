@@ -181,7 +181,7 @@ def test_bracket_root_matches_loop(a, b, branching):
     params = ModelParams(a, b)
     topo = make_topology(branching)
     ts = np.geomspace(1e-9, 1.0, 4096)
-    assert fixedpoint._bracket_root(params, topo) == oracle_bracket(
+    assert fixedpoint._bracket_root(params, topo, 1e-9, 4096, 1.0) == oracle_bracket(
         ts, fixedpoint.hub_gap(ts, params, topo))
 
 
@@ -199,5 +199,5 @@ def test_bracket_root_matches_loop_on_crafted_gaps(monkeypatch, h):
     ts = np.geomspace(1e-9, 1.0, h.size)
     monkeypatch.setattr(fixedpoint, "hub_gap", lambda t, params, topo: h)
     got = fixedpoint._bracket_root(ModelParams(0.5, 0.15), make_topology((6, 10)),
-                                   grid_points=h.size)
+                                   1e-9, h.size, 1.0)
     assert got == oracle_bracket(ts, h)
