@@ -23,7 +23,9 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
     On 3-level trees, the Region I checks filter `samples` random states,
     plus the unit corner, with the mask that in_region_one,
     strict_decrease_check and region_slice share, then test that mask and
-    strict decrease on the batch's step_level image.
+    strict decrease on the batch's step_level image.  Above the threshold,
+    solver_cross_agreement reads the solver's error bound: it passes when
+    max(error_bound / d) <= 1e-8.
     """
     rng = np.random.default_rng(seed)
     k = topo.k
@@ -98,7 +100,9 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
 
     report = solve_fixed_point(params, topo)
     if report.regime.kind is RegimeKind.SUPERCRITICAL:
-        checks["solver_cross_agreement"] = report.agreement <= 1e-8
+        checks["solver_cross_agreement"] = bool(
+            np.max(report.error_bound / report.nontrivial_point) <= 1e-8
+        )
         checks["nontrivial_point_interior"] = bool(
             np.all((report.nontrivial_point > 0.0) & (report.nontrivial_point < 1.0))
         )

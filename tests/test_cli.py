@@ -134,6 +134,15 @@ def test_verify_default_passes(capsys):
     assert payload["all_passed"], payload["checks"]
 
 
+def test_verify_accepts_by_the_error_bound_where_the_curve_check_misses(capsys):
+    # the curve route reads agreement 1.0e-2 here; the error bound is about 1e-14
+    code, out, _ = run_cli(capsys, "verify", "--a", "0.5", "--b", "0.9",
+                           "--branching", "6,10,4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_passed"], payload["checks"]
+
+
 def test_verify_negative_control_slope_tol(capsys):
     code, out, _ = run_cli(capsys, "verify", "--a", "0.5", "--b", "0.15",
                            "--branching", "6,10", "--slope-tol", "1e-15")

@@ -7,13 +7,14 @@ every trial to the horizon.  Every comparison is exact.
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
 from oracles import loop_neighbors
 from starsis import (ChainState, ModelParams, coalescence_gap, make_chain_state,
-                     make_topology, run_trials, step_chain, step_full)
+                     make_topology, run_trials, step_chain, step_full, stochastic)
 from starsis.cli import main
 
 SHAPES = [(6, 10), (3, 3, 3), (1, 1, 1), (1, 5), (10, 3, 3, 3, 2), (30, 30, 10)]
@@ -111,20 +112,61 @@ def test_conditional_probability_bitwise_equals_loop(branching):
     assert got.tobytes() == loop_step_full(infected.astype(float), params, topo).tobytes()
 
 
-@pytest.mark.parametrize("branching, a, b, seed", [
-    ((6, 10), 0.5, 0.05, 7),      # subcritical: every trial dies out early
-    ((6, 10), 0.5, 0.3, 9),       # supercritical: no trial dies out
-    ((2, 3, 2), 0.4, 0.35, 11),   # near threshold: some trials die out
-    ((1,), 0.3, 0.4, 3),
+# Explicit ids keep the names of the first four cases stable.
+@pytest.mark.parametrize("branching, a, b, seed, trials", [
+    # subcritical: every trial dies out early
+    pytest.param((6, 10), 0.5, 0.05, 7, 12, id="branching0-0.5-0.05-7"),
+    # supercritical: no trial dies out
+    pytest.param((6, 10), 0.5, 0.3, 9, 12, id="branching1-0.5-0.3-9"),
+    # near threshold: some trials die out
+    pytest.param((2, 3, 2), 0.4, 0.35, 11, 12, id="branching2-0.4-0.35-11"),
+    pytest.param((1,), 0.3, 0.4, 3, 12, id="branching3-0.3-0.4-3"),
+    # one trial per group, groups on the thread pool, trials dying at different steps
+    pytest.param((30, 30, 10), 0.5, 0.05, 5, 12, id="forest-of-one-10k-nodes"),
+    # groups of unequal size, most trials dying at different chunk ends
+    pytest.param((6, 10), 0.5, 0.16, 13, 201, id="unequal-groups"),
+    pytest.param((3, 4), 0.5, 0.3, 2, 1, id="one-trial"),
+    # one chunk covers the horizon; trials die at different offsets within it
+    pytest.param((2, 2), 0.9, 0.1, 4, 12, id="deaths-within-a-chunk"),
 ])
-def test_run_trials_matches_full_horizon_loop(branching, a, b, seed):
+def test_run_trials_matches_full_horizon_loop(branching, a, b, seed, trials):
     topo = make_topology(branching)
     params = ModelParams(a, b)
     init = make_chain_state(topo, all_infected=True)
-    got = run_trials(params, topo, init, horizon=120, trials=12, master_seed=seed)
-    want_prev, want_ext = loop_run_trials(params, topo, init.infected, 120, 12, seed)
+    got = run_trials(params, topo, init, horizon=120, trials=trials, master_seed=seed)
+    want_prev, want_ext = loop_run_trials(params, topo, init.infected, 120, trials, seed)
     assert got.prevalence.tobytes() == want_prev.tobytes()
     assert got.extinction_steps == want_ext
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_run_trials_output_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    topo = make_topology((10, 10, 9))
+    params = ModelParams(0.5, 0.2)
+    init = make_chain_state(topo, all_infected=True)
+    want = run_trials(params, topo, init, horizon=60, trials=12, master_seed=21)
+    threads = threading.enumerate()
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)
+    got = run_trials(params, topo, init, horizon=60, trials=12, master_seed=21)
+    assert got.prevalence.tobytes() == want.prevalence.tobytes()
+    assert got.extinction_steps == want.extinction_steps
+    assert threading.enumerate() == threads
+
+
+def test_run_trials_workers_call_no_public_name(monkeypatch):
+    """A tracer wraps public names and keeps one span stack, which worker
+    threads must not touch."""
+    def fail(*args, **kwargs):
+        raise AssertionError("step_chain called")
+
+    topo = make_topology((10, 10, 9))
+    params = ModelParams(0.5, 0.2)
+    init = make_chain_state(topo, all_infected=True)
+    want = run_trials(params, topo, init, horizon=30, trials=8, master_seed=4)
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(stochastic, "step_chain", fail)
+    got = run_trials(params, topo, init, horizon=30, trials=8, master_seed=4)
+    assert got.prevalence.tobytes() == want.prevalence.tobytes()
 
 
 @pytest.mark.parametrize("branching", [(6, 10), (30, 30, 10), (1,), (3, 4)])

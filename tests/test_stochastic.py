@@ -109,6 +109,12 @@ def test_run_trials_validation():
         run_trials(params, make_topology((2, 2)), init, horizon=1, trials=1, master_seed=0)
 
 
+@pytest.mark.parametrize("nodes", [[-1], [7], [0, 9], [True, False], [0.0]])
+def test_make_chain_state_rejects_bad_node_indices(nodes):
+    with pytest.raises(ValueError):
+        make_chain_state(make_topology((2, 2)), infected_nodes=nodes)
+
+
 def test_extinction_recorded():
     topo = make_topology((2,))
     params = ModelParams(0.1, 0.1)  # fast extinction
