@@ -34,7 +34,7 @@ def _parse_branching(text):
 
 
 def _build_parser():
-    """The top-level parser and one subparser per command.
+    """The top-level parser, with one subparser per command.
 
     Each command takes the shared model flags and only the options it reads.
     The defaults live here: a and branching default to the paper's figure
@@ -54,7 +54,6 @@ def _build_parser():
     commands["iterate"].add_argument("--tol", type=float, default=1e-12)
     commands["iterate"].add_argument("--max-iter", type=int, default=10**6)
     commands["iterate"].add_argument("--d0", help="comma-separated start state, default all ones")
-    commands["fixedpoint"].add_argument("--tol", type=float, default=1e-12)
     commands["curves"].add_argument("--grid-n", type=int, default=1000)
     commands["regions"].add_argument("--grid-n", type=int, default=101)
     commands["regions"].add_argument("--z", type=float,
@@ -64,45 +63,43 @@ def _build_parser():
     commands["simulate"].add_argument("--seed", type=int, default=0)
     commands["verify"].add_argument("--seed", type=int, default=0)
     commands["verify"].add_argument("--slope-tol", type=float, default=1e-6)
-    return parser, commands
+    return parser
 
 
 @functools.cache
 def _parser():
-    """The parser main reuses for every call in this process.
-
-    It must never be mutated: a changed default would leak into later calls.
-    """
-    return _build_parser()[0]
+    """The parser main reuses for every call in this process."""
+    return _build_parser()
 
 
 def _apply_config(args, argv):
-    """Parse argv again with the --config values as the command's defaults.
+    """Parse argv again with the --config values as flags before its own.
 
-    Flags given on the command line still win.  A key the command does not
-    take is rejected, and so is a null for a flag whose default is not None
-    (`{"a": null}`).  A non-null value goes in as its text, so argparse runs
-    it through the flag's type like a command-line string: a seed of 1.5 is a
-    usage error (exit 2).  set_defaults changes the shared flags' defaults for
-    every command of a parser, so the reparse runs on a parser built for this
-    call and the one main reuses is left untouched.
+    Each key becomes a `--key=value` token placed right after the command,
+    and argparse keeps the last value of a repeated flag, so flags given on
+    the command line still win.  A non-null value goes in as its text, so
+    argparse runs it through the flag's type like a command-line string: a
+    seed of 1.5 is a usage error (exit 2).  A key the command does not take
+    is rejected, and so is a null for a flag whose default is not None
+    (`{"a": null}`); a null for any other flag adds no token.
     """
     if args.config is None:
         return args
-    parser, commands = _build_parser()
     with open(args.config) as fh:
         cfg = json.load(fh)
-    takes = set(vars(args)) - {"command", "config"}
-    values = {}
+    defaults = vars(_parser().parse_args([args.command]))
+    tokens = []
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if attr not in takes:
+        if attr not in defaults or attr in ("command", "config"):
             raise ValueError(f"{args.command} does not take config key {key!r}")
-        if value is None and commands[args.command].get_default(attr) is not None:
+        if value is not None:
+            tokens.append(f"--{attr.replace('_', '-')}={value}")
+        elif defaults[attr] is not None:
             raise ValueError(f"config key {key!r} of {args.command} cannot be null")
-        values[attr] = None if value is None else str(value)
-    commands[args.command].set_defaults(**values)
-    return parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    at = argv.index(args.command) + 1
+    return _parser().parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _model_inputs(args, require_b=True):
@@ -189,7 +186,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_fixedpoint(args) -> int:
     _, params, topo = _model_inputs(args)
-    report = solve_fixed_point(params, topo, tol=args.tol)
+    report = solve_fixed_point(params, topo)
     payload = {
         "regime": report.regime.kind.value,
         "b_crit": report.regime.b_crit,

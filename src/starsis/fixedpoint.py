@@ -15,6 +15,7 @@ _WARM_STEPS = 8
 _NEWTON_MAX = 100
 _STALL = 1e-6
 _MAX_REL_ERROR = 1e-3  # the largest relative error bound a solve may return
+_T_MIN = 1e-14  # where tail_state_of_hub starts its search along the tail curve
 
 
 class SolverInvariantError(RuntimeError):
@@ -87,7 +88,7 @@ def spectral_threshold(a: float, branching) -> float:
 
 def classify_regime(params: ModelParams, topo: StarlikeTopology, eq_tol: float = 0.0) -> Regime:
     """Compare b against the spectral threshold; ties within eq_tol classify as critical."""
-    if eq_tol < 0:
+    if not eq_tol >= 0:  # also rejects NaN
         raise ValueError("eq_tol must be >= 0")
     bc = spectral_threshold(params.a, topo.branching)
     if params.b < bc - eq_tol:
@@ -142,7 +143,7 @@ def tail_curve(t, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
     (k,) vector, an array of shape (...,) gives (..., k).
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
+    if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):  # also rejects NaN
         raise ValueError("curve parameter t must lie in (0, 1]")
     a, b = params.a, params.b
     k = topo.k
@@ -171,13 +172,12 @@ def hub_gap(t, params: ModelParams, topo: StarlikeTopology):
     return d[..., 0] - phi_hub(d[..., 1], params, topo.branching[0])
 
 
-def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology,
-                      t_min: float = 1e-14) -> np.ndarray:
+def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
     """Tail-curve states whose hub values equal d1, on the first rising branch.
 
     Inverts t -> d1_curve(t) for every target at once.  Each target is
-    bracketed between t_min and the first point of the geometric grid
-    t_min * 1.5^j (capped at 1) where the curve is finite and reaches it,
+    bracketed between _T_MIN and the first point of the geometric grid
+    _T_MIN * 1.5^j (capped at 1) where the curve is finite and reaches it,
     then all targets are bisected together to width 1e-15.  Used to express
     the tail composition as a function of the hub coordinate.  Scalar d1
     gives a (k,) state, an array of shape s gives s + (k,).  Raises
@@ -187,12 +187,10 @@ def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology,
     d1 = np.asarray(d1, dtype=float)
     shape = d1.shape
     d1 = d1.ravel()
-    if np.any(d1 <= 0.0):
+    if not np.all(d1 > 0.0):  # also rejects NaN
         raise ValueError("d1 must be positive")
-    if not t_min > 0.0:  # the geometric grid below never reaches 1 from t_min <= 0
-        raise ValueError("curve parameter t must lie in (0, 1]")
 
-    grid = [t_min]
+    grid = [_T_MIN]
     while grid[-1] < 1.0:
         grid.append(min(grid[-1] * 1.5, 1.0))
     grid = np.array(grid)
@@ -200,7 +198,7 @@ def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology,
     start = curve[0] - d1 >= 0.0
     if np.any(start):
         raise SolverInvariantError(
-            f"hub inversion: d1={d1[start][0]} below curve start at t={t_min}")
+            f"hub inversion: d1={d1[start][0]} below curve start at t={_T_MIN}")
     # The bracket's upper end is the first expansion point whose value is
     # finite and >= d1; reaching a non-finite value or t = 1 first fails.
     expansion = curve[1:]
@@ -210,7 +208,7 @@ def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology,
     missing = first >= finite_end
     if np.any(missing):
         raise SolverInvariantError(f"hub inversion: no bracket for d1={d1[missing][0]}")
-    lo = np.full(d1.shape, t_min)
+    lo = np.full(d1.shape, _T_MIN)
     hi = grid[1 + first]
 
     active = np.flatnonzero(hi - lo > 1e-15)
@@ -352,15 +350,14 @@ def _residual(d, params, topo) -> float:
     return float(np.max(np.abs(_step_level(d, params, topo) - d)))
 
 
-def solve_fixed_point(params: ModelParams, topo: StarlikeTopology,
-                      tol: float = 1e-12) -> FixedPointReport:
+def solve_fixed_point(params: ModelParams, topo: StarlikeTopology) -> FixedPointReport:
     """Classify the regime and, above threshold, find the nontrivial fixed point.
 
-    At most 8 map steps from the all-ones state (tol is their stopping
-    tolerance and nothing else) start Newton in log form, which runs to the
-    float64 floor.  `error_bound` bounds that point's error componentwise
-    (zeros below the threshold).  Only Newton failing, or a bound that is not
-    finite or exceeds 1e-3 relative, raises SolverInvariantError.
+    At most 8 map steps from the all-ones state start Newton in log form,
+    which runs to the float64 floor.  `error_bound` bounds that point's
+    error componentwise (zeros below the threshold).  Only Newton failing, or
+    a bound that is not finite or exceeds 1e-3 relative, raises
+    SolverInvariantError.
     `agreement`, the sup-norm distance to the tail-curve root next to the
     point's d_{k-1}, is a report that never raises: inf where no sign change
     is found, and large where the curve's level-by-level rebuild amplifies
@@ -379,7 +376,7 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology,
             error_bound=np.zeros(topo.k),
         )
 
-    warm = iterate(np.ones(topo.k), params, topo, tol=tol, max_iter=_WARM_STEPS).limit
+    warm = iterate(np.ones(topo.k), params, topo, max_iter=_WARM_STEPS).limit
     point = _newton(warm, params, topo)
     # B = (-J)^-1 (|F| + c u d), c = 4 (max n + 3), a first-order componentwise
     # error bound (Higham, Accuracy and Stability of Numerical Algorithms,

@@ -73,12 +73,13 @@ class ConvexityReport:
     verdict: str  # "convex" | "concave" | "indeterminate"
 
 
-def check_convexity(f, domain, grid_n: int, tol: float = 1e-12) -> ConvexityReport:
+def check_convexity(f, domain, grid_n: int) -> ConvexityReport:
     """Classify a scalar function by central second differences on a uniform grid.
 
     f is called once, on the whole grid array, so it must be elementwise:
     f(grid) returns one value per grid point.  A function passing both
     checks (affine) is reported convex; that tie rule is arbitrary but fixed.
+    Second differences within 1e-12 of zero count as zero.
     """
     lo, hi = domain
     if not lo < hi:
@@ -92,9 +93,9 @@ def check_convexity(f, domain, grid_n: int, tol: float = 1e-12) -> ConvexityRepo
                          f"expected {grid.shape}")
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
     mn, mx = float(second.min()), float(second.max())
-    if mn >= -tol:
+    if mn >= -1e-12:
         verdict = "convex"
-    elif mx <= tol:
+    elif mx <= 1e-12:
         verdict = "concave"
     else:
         verdict = "indeterminate"
@@ -120,24 +121,24 @@ class SlopeReport:
     tail_slope_fd: float
 
 
-def slopes_at_zero(params: ModelParams, topo: StarlikeTopology,
-                   step: float = 1e-7) -> SlopeReport:
+def slopes_at_zero(params: ModelParams, topo: StarlikeTopology) -> SlopeReport:
     """Closed-form slopes at the origin of the two intersection curves, plus
     finite-difference estimates.
 
-    Both curves vanish at 0, so f(h)/h is a one-sided secant with O(h)
-    error; the Richardson form 2 f(h)/h - f(2h)/(2h) cancels that term and
-    keeps the estimate within relative tolerance where the tail slope is
-    small.
+    Both curves vanish at 0, so f(h)/h at h = 1e-7 is a one-sided
+    secant with O(h) error; the Richardson form 2 f(h)/h - f(2h)/(2h)
+    cancels that term and keeps the estimate within relative tolerance where
+    the tail slope is small.
     """
     _require_three_levels(topo)
     a, b = params.a, params.b
     n1, n2 = topo.branching
     hub_slope = b * n1 / (1.0 - a)
     tail_slope = ((1.0 - a) ** 2 - b * b * n2) / (b * (1.0 - a))
+    h = 1e-7
 
     def slope_fd(f):
-        return 2.0 * float(f(step)) / step - float(f(2.0 * step)) / (2.0 * step)
+        return 2.0 * float(f(h)) / h - float(f(2.0 * h)) / (2.0 * h)
 
     hub_fd = slope_fd(lambda t: phi_hub(t, params, n1))
     tail_fd = slope_fd(lambda t: tail_curve(t, params, topo)[0])
@@ -145,9 +146,9 @@ def slopes_at_zero(params: ModelParams, topo: StarlikeTopology,
                        hub_slope_fd=hub_fd, tail_slope_fd=tail_fd)
 
 
-def sample_curves(params: ModelParams, topo: StarlikeTopology, grid_n: int,
-                  t_min: float = 1e-3) -> np.ndarray:
-    """Sample both intersection curves on a grid of the curve parameter.
+def sample_curves(params: ModelParams, topo: StarlikeTopology, grid_n: int) -> np.ndarray:
+    """Sample both intersection curves at grid_n values of the curve
+    parameter, evenly spaced from 1e-3 to 1.
 
     Columns: t, hub-curve d1 (= phi_hub at the tail curve's d2), tail-curve
     d1, tail-curve d2.  Interior sign changes of column2 - column1 count the
@@ -155,7 +156,7 @@ def sample_curves(params: ModelParams, topo: StarlikeTopology, grid_n: int,
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    ts = np.linspace(t_min, 1.0, grid_n)
+    ts = np.linspace(1e-3, 1.0, grid_n)
     d = tail_curve(ts, params, topo)
     # Where the tail curve leaves [0, 1], phi_hub of it overflows; the table
     # keeps those raw inf or NaN values without printing numpy warnings.

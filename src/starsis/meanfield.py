@@ -79,19 +79,17 @@ class Trajectory:
 
 
 def iterate(d0, params: ModelParams, topo: StarlikeTopology, tol: float = 1e-12,
-            max_iter: int = 10**6, store_every: int = 1) -> Trajectory:
+            max_iter: int = 10**6) -> Trajectory:
     """Iterate step_level from d0 until the sup-norm successive difference <= tol.
 
     d0 is validated once; the steps run the unchecked kernel, since the map
-    keeps [0,1]^k.  Stores every store_every-th state (first and last always
-    kept).  Hitting max_iter is reported via converged=False, not raised.
+    keeps [0,1]^k.  Every state is stored, d0 and the limit included.
+    Hitting max_iter is reported via converged=False, not raised.
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
     d = as_level_state(d0, topo).copy()
     states = [d.copy()]
     converged = False
@@ -100,18 +98,14 @@ def iterate(d0, params: ModelParams, topo: StarlikeTopology, tol: float = 1e-12,
     while steps < max_iter:
         nxt = _step_level(d, params, topo)
         res = float(np.max(np.abs(nxt - d)))
-        if res <= tol:
-            converged = True
-            if res > 0.0:
-                d = nxt
-                steps += 1
+        converged = res <= tol
+        if res == 0.0:  # a step that changes nothing is not counted
             break
         d = nxt
         steps += 1
-        if steps % store_every == 0:
-            states.append(d.copy())
-    if not np.array_equal(states[-1], d):
-        states.append(d.copy())
+        states.append(d)
+        if converged:
+            break
     return Trajectory(
         states=np.array(states),
         converged=converged,

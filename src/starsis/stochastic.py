@@ -20,7 +20,6 @@ _CHUNK_DRAWS = 2**15
 @dataclass
 class ChainState:
     infected: np.ndarray  # bool, length node_count
-    t: int = 0
 
 
 def make_chain_state(topo: StarlikeTopology, infected_nodes=None, all_infected=False) -> ChainState:
@@ -34,7 +33,7 @@ def make_chain_state(topo: StarlikeTopology, infected_nodes=None, all_infected=F
             raise ValueError(f"infected_nodes must be integer node indices in "
                              f"[0, {topo.node_count})")
         inf[idx.astype(np.intp)] = True
-    return ChainState(infected=inf, t=0)
+    return ChainState(infected=inf)
 
 
 def _check_infected(infected, topo: StarlikeTopology) -> None:
@@ -77,7 +76,7 @@ def step_chain(state: ChainState, params: ModelParams, topo: StarlikeTopology,
     # One call draws the same stream as a node call followed by an edge call.
     u = rng.random(n + len(src))
     nxt = _chain_step(inf, u[:n] < params.a, u[n:] < params.b, src, dst)
-    return ChainState(infected=nxt, t=state.t + 1)
+    return ChainState(infected=nxt)
 
 
 @dataclass
@@ -156,10 +155,11 @@ def run_trials(params: ModelParams, topo: StarlikeTopology, init: ChainState,
     first all-healthy step: that state is absorbing, so its later rows would
     add 0, and its stream is its own, so stopping consumes no other trial's draws.
 
-    Consecutive trials run in groups, each group as one chain on a forest of
-    tree copies; two or more groups run on a thread pool with one worker per
-    CPU this process may use.  Counts are integers and extinction steps are
-    kept in trial order, so the output does not depend on the CPU count.
+    Consecutive trials run in groups whose sizes differ by at most one, each
+    group as one chain on a forest of tree copies; two or more groups run on
+    a thread pool with one worker per CPU this process may use.  Counts are
+    integers and extinction steps are kept in trial order, so the output
+    does not depend on the CPU count.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -171,6 +171,9 @@ def run_trials(params: ModelParams, topo: StarlikeTopology, init: ChainState,
     n, width = topo.node_count, topo.node_count + len(src)
     batch = min(max(-(-trials // cpus), -(-_GROUP_MIN_DRAWS // width)), _GROUP_MAX_DRAWS // width)
     batch = max(1, min(trials, batch))
+    # The fewest groups of at most batch trials, their sizes differing by at most one.
+    count = -(-trials // batch)
+    batch = -(-trials // count)
     steps = max(1, _CHUNK_DRAWS // (width * batch))
     offsets = n * np.arange(batch)[:, None]
     run = functools.partial(
@@ -179,7 +182,8 @@ def run_trials(params: ModelParams, topo: StarlikeTopology, init: ChainState,
         starts=(topo.level_offsets[:-1] + offsets).ravel(), k=topo.k, horizon=horizon,
         steps=steps)
     seeds = np.random.SeedSequence(master_seed).spawn(trials)
-    groups = [seeds[i:i + batch] for i in range(0, trials, batch)]
+    cuts = [trials * i // count for i in range(count + 1)]
+    groups = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     workers = min(cpus, len(groups))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

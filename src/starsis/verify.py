@@ -10,17 +10,18 @@ from .meanfield import coalescence_gap, step_full, step_level
 from .model import ModelParams, StarlikeTopology, expand_state, reduce_state
 from .stochastic import make_chain_state, run_trials
 
+_SAMPLES = 200  # random states per batched check
+
 
 def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 0,
-                       eq_tol: float = 1e-12, slope_tol: float = 1e-6,
-                       samples: int = 200) -> dict:
+                       slope_tol: float = 1e-6) -> dict:
     """Run the numerical invariant checks and return {check_name: passed}.
 
     Every check on many states makes one batched call.  The full-vs-reduced
     check passes the first 50 random level states as one (50, k) batch
     through expand_state (-> (50, N)), step_full (-> (50, N)) and
     reduce_state (-> (50, k)), and compares with step_level of that batch.
-    On 3-level trees, the Region I checks filter `samples` random states,
+    On 3-level trees, the Region I checks filter _SAMPLES random states,
     plus the unit corner, with the mask that in_region_one,
     strict_decrease_check and region_slice share, then test that mask and
     strict decrease on the batch's step_level image.  Above the threshold,
@@ -31,12 +32,12 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
     k = topo.k
     checks = {}
 
-    d = rng.random((samples, k))
+    d = rng.random((_SAMPLES, k))
     out = step_level(d, params, topo)
     checks["range_preservation"] = bool(np.all((out >= 0.0) & (out <= 1.0)))
 
-    lo = rng.random((samples, k))
-    hi = lo + (1.0 - lo) * rng.random((samples, k))
+    lo = rng.random((_SAMPLES, k))
+    hi = lo + (1.0 - lo) * rng.random((_SAMPLES, k))
     checks["componentwise_monotonicity"] = bool(
         np.all(step_level(lo, params, topo) <= step_level(hi, params, topo))
     )
@@ -72,7 +73,7 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
             lambda x: tail_composition(x, params, topo), (1e-3, 1.0), 500
         ).verdict == "concave"
 
-        pts = rng.random((samples, 3))
+        pts = rng.random((_SAMPLES, 3))
         pts = np.vstack([pts[_region_one_mask(*pts.T, params, topo)], np.ones(3)])
         nxt = step_level(pts, params, topo)
         closure = _region_one_mask(*nxt.T, params, topo)
@@ -90,7 +91,7 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
         hv = hub_gap(ts, params, topo)
         signs = np.sign(hv[np.isfinite(hv)])
         flips = int(np.sum(signs[:-1] * signs[1:] < 0.0))
-        regime = classify_regime(params, topo, eq_tol=eq_tol)
+        regime = classify_regime(params, topo, eq_tol=1e-12)
         expected = 1 if regime.kind is RegimeKind.SUPERCRITICAL else 0
         checks["tail_curve_sign_changes_match_regime"] = flips == expected
 

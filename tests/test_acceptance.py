@@ -71,7 +71,7 @@ def test_criterion_04_supercritical_uniqueness_and_agreement():
     from_above = iterate(np.ones(3), params, TOPO3, tol=1e-13).limit
     from_below = iterate(np.full(3, 1e-6), params, TOPO3, tol=1e-13).limit
     start_gap = float(np.max(np.abs(from_above - from_below)))
-    report_fp = solve_fixed_point(params, TOPO3, tol=1e-12)
+    report_fp = solve_fixed_point(params, TOPO3)
     curve_gap = float(np.max(np.abs(report_fp.nontrivial_point - from_above)))
     residual = report_fp.iteration_residual
     ok = start_gap <= 1e-8 and curve_gap <= 1e-8 and report_fp.agreement <= 1e-8 \
@@ -171,7 +171,7 @@ def test_criterion_08_k_level_generalization():
     sub = iterate(np.ones(4), ModelParams(A, 0.11), TOPO4, tol=1e-12)
     dies = sub.converged and np.max(sub.limit) < 1e-10
 
-    fp = solve_fixed_point(ModelParams(A, 0.12), TOPO4, tol=1e-12)
+    fp = solve_fixed_point(ModelParams(A, 0.12), TOPO4)
     nontrivial = (fp.nontrivial_point is not None
                   and np.all((fp.nontrivial_point > 0) & (fp.nontrivial_point < 1))
                   and fp.agreement <= 1e-8)

@@ -144,14 +144,14 @@ def test_suite_consistency_holds_on_wide_tree():
 def test_suite_batched_checks_match_former_loops(shape, a, b, seed):
     topo = make_topology(shape)
     params = ModelParams(a, b)
-    samples = 200
+    samples = 200  # the suite's sample size
     # The suite's draws, in its order: states, then the two monotonicity
     # batches, then (3 levels only) the Region I sample.
     rng = np.random.default_rng(seed)
     d = rng.random((samples, topo.k))
     rng.random((samples, topo.k))
     rng.random((samples, topo.k))
-    checks = run_property_suite(params, topo, seed=seed, samples=samples)
+    checks = run_property_suite(params, topo, seed=seed)
     assert checks["full_vs_reduced_consistency"] == (
         loop_consistency_error(d, params, topo) <= 1e-14)
     if topo.k == 3:

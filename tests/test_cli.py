@@ -207,6 +207,18 @@ def test_config_key_the_command_does_not_take_is_validation_error(tmp_path, caps
     assert "horizon" in err
 
 
+def test_fixedpoint_takes_no_tol(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 0.15, "tol": 1e-9}))
+    code, out, err = run_cli(capsys, "fixedpoint", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["fixedpoint", "--b", "0.15", "--tol", "1e-9"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("command", ["threshold", "iterate", "curves"])
 def test_config_null_for_flag_with_a_default_is_validation_error(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"
@@ -420,4 +432,4 @@ def test_main_builds_no_parser_after_the_first_call(tmp_path, capsys, monkeypatc
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"b": 0.1}))
     assert run_cli(capsys, "threshold", "--config", str(cfg))[0] == 0
-    assert built  # a --config call parses again on a parser of its own
+    assert built == []  # a --config call parses again on the same parser

@@ -42,6 +42,12 @@ def test_classify_regime():
     assert classify_regime(ModelParams(0.5, 0.15), topo).kind is RegimeKind.SUPERCRITICAL
 
 
+@pytest.mark.parametrize("eq_tol", [-1e-12, np.nan])
+def test_classify_regime_rejects_a_negative_or_nan_eq_tol(eq_tol):
+    with pytest.raises(ValueError, match="eq_tol"):
+        classify_regime(ModelParams(0.5, 0.15), make_topology((6, 10)), eq_tol=eq_tol)
+
+
 def test_phi_values_at_endpoints():
     params = ModelParams(0.5, 0.08)
     assert phi_hub(0.0, params, 6) == 0.0
@@ -144,13 +150,13 @@ def test_solve_critical_reports_no_nontrivial_point():
 
 def test_solve_supercritical_dual_route():
     topo = make_topology((6, 10))
-    report = solve_fixed_point(ModelParams(0.5, 0.15), topo, tol=1e-12)
+    report = solve_fixed_point(ModelParams(0.5, 0.15), topo)
     point = report.nontrivial_point
     assert point is not None
     assert np.all((point > 0.0) & (point < 1.0))
     assert report.iteration_residual <= 1e-10
     assert report.curve_root_residual <= 1e-10
-    assert report.agreement <= 1e-11  # 10 * tol
+    assert report.agreement <= 1e-11
 
 
 def test_solve_supercritical_matches_long_iteration_oracle():
@@ -164,7 +170,7 @@ def test_solve_supercritical_matches_long_iteration_oracle():
 
 def test_solve_k4_supercritical():
     topo = make_topology((6, 10, 4))
-    report = solve_fixed_point(ModelParams(0.5, 0.12), topo, tol=1e-12)
+    report = solve_fixed_point(ModelParams(0.5, 0.12), topo)
     assert report.regime.kind is RegimeKind.SUPERCRITICAL
     assert report.nontrivial_point is not None
     assert np.all((report.nontrivial_point > 0.0) & (report.nontrivial_point < 1.0))

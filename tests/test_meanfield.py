@@ -175,14 +175,17 @@ def test_iterate_supercritical_interior_limit():
     assert res <= 1e-10
 
 
-def test_iterate_thinning_keeps_endpoints():
+def test_iterate_stores_every_state():
     topo = make_topology((6, 10))
     params = ModelParams(0.5, 0.15)
-    full = iterate(np.ones(3), params, topo, tol=1e-10)
-    thinned = iterate(np.ones(3), params, topo, tol=1e-10, store_every=50)
-    assert len(thinned.states) < len(full.states)
-    assert np.array_equal(thinned.states[0], full.states[0])
-    assert np.array_equal(thinned.states[-1], full.states[-1])
+    d0 = np.array([1.0, 0.5, 0.25])
+    traj = iterate(d0, params, topo, tol=1e-10)
+    assert traj.converged
+    assert len(traj.states) == traj.iterations + 1
+    assert np.array_equal(traj.states[0], d0)
+    assert np.array_equal(traj.states[-1], traj.limit)
+    for prev, nxt in zip(traj.states[:-1], traj.states[1:]):
+        assert np.array_equal(nxt, step_level(prev, params, topo))
 
 
 def test_iterate_reports_max_iter():

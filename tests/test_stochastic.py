@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import loop_neighbors
+import starsis.stochastic as stochastic
 from starsis import ModelParams, make_chain_state, make_topology, run_trials, step_chain, step_full
 
 
@@ -123,3 +124,21 @@ def test_extinction_recorded():
     assert all(step is not None for step in summary.extinction_steps)
     for step in summary.extinction_steps:
         assert np.all(summary.prevalence[-1] >= 0)  # series stays well formed
+
+
+@pytest.mark.parametrize("branching, trials", [((6, 10), 50), ((10, 10, 9), 25)])
+def test_run_trials_groups_differ_in_size_by_at_most_one(monkeypatch, branching, trials):
+    sizes = []
+    run_group = stochastic._run_group
+
+    def spy(seqs, *args, **kwargs):
+        sizes.append(len(seqs))
+        return run_group(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(stochastic, "_run_group", spy)
+    topo = make_topology(branching)
+    init = make_chain_state(topo, all_infected=True)
+    run_trials(ModelParams(0.5, 0.3), topo, init, horizon=20, trials=trials, master_seed=1)
+    assert len(sizes) >= 2 and sum(sizes) == trials
+    assert max(sizes) - min(sizes) <= 1

@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import starsis.fixedpoint as fixedpoint
-from starsis import (ModelParams, SolverInvariantError, check_convexity, make_topology,
-                     phi_hub_inverse, tail_composition, tail_curve, tail_state_of_hub)
+from starsis import (ModelParams, SolverInvariantError, check_convexity, hub_gap,
+                     make_topology, phi_hub_inverse, tail_composition, tail_curve,
+                     tail_state_of_hub)
 
 
 def scalar_state(t, params, topo):
@@ -155,6 +156,13 @@ def test_batch_errors():
         tail_state_of_hub(np.array([0.5, 1e-20]), params, topo)
     with pytest.raises(SolverInvariantError, match="no bracket"):
         tail_state_of_hub(np.array([0.5, 1e3]), params, topo)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.array([0.5, np.nan])])
+@pytest.mark.parametrize("fn", [tail_curve, hub_gap, tail_state_of_hub, tail_composition])
+def test_nan_is_rejected_as_a_value_error(fn, x):
+    with pytest.raises(ValueError):
+        fn(x, ModelParams(0.5, 0.15), make_topology((6, 10)))
 
 
 @pytest.mark.parametrize("b, branching", [(0.08, (6, 10)), (0.125, (6, 10)),
