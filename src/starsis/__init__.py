@@ -7,7 +7,7 @@ from .fixedpoint import (FixedPointReport, Regime, RegimeKind,
                          tail_state_of_hub)
 from .geometry import (ConvexityReport, SlopeReport, check_convexity,
                        in_region_one, region_slice, sample_curves,
-                       slopes_at_zero, strict_decrease_check, tail_composition)
+                       slopes_at_zero, tail_composition)
 from .meanfield import Trajectory, coalescence_gap, iterate, step_full, step_level
 from .model import (ModelParams, StarlikeTopology, expand_state, make_topology,
                     reduce_state)
@@ -23,7 +23,7 @@ __all__ = [
     "hub_gap",
     "tail_state_of_hub", "solve_fixed_point", "FixedPointReport",
     "SolverInvariantError",
-    "in_region_one", "region_slice", "strict_decrease_check",
+    "in_region_one", "region_slice",
     "check_convexity", "ConvexityReport", "slopes_at_zero", "SlopeReport",
     "tail_composition", "sample_curves",
     "ChainState", "make_chain_state", "step_chain", "run_trials",

@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import phi_hub, phi_leaf, phi_middle, tail_curve, tail_state_of_hub
-from .meanfield import step_level
+from .fixedpoint import phi_hub, tail_curve, tail_state_of_hub
+from .meanfield import _map_levels
 from .model import ModelParams, StarlikeTopology, as_level_state
 
 
@@ -14,28 +14,27 @@ def _require_three_levels(topo: StarlikeTopology):
         raise ValueError("this operation is defined for 3-level topologies only")
 
 
-def _region_one_mask(x, y, z, params: ModelParams, topo: StarlikeTopology):
-    """Elementwise Region I membership of validated levels x, y, z.
+def _region_one_mask(levels, params: ModelParams, topo: StarlikeTopology):
+    """Elementwise Region I membership of k validated level arrays.
 
-    A state is in Region I iff it strictly exceeds all three partial-fixed-
-    point bounds.  This is the one statement of those inequalities, and every
-    Region I function calls it.  The three levels broadcast against each
-    other, so a (..., 3) batch passes its columns and region_slice its grid
-    axes without building the grid.
+    Region I is the set of states above every level's partial fixed point.
+    Each level's map coordinate T_m(d) - d_m = (1 - q) - d_m (1 - a q), with
+    q the level's neighbour survival product, strictly decreases in d_m and
+    is zero at that level's partial fixed point, so the region is exactly
+    {d : T(d) < d}, for any k.  The levels broadcast against each other, as
+    in the map kernel, so a batch passes its columns and region_slice its
+    grid axes without building the grid.
     """
-    n1, n2 = topo.branching
-    return (
-        (x > phi_hub(y, params, n1))
-        & (y > phi_middle(x, z, params, n2))
-        & (z > phi_leaf(y, params))
-    )
+    image = _map_levels(levels, params, topo)
+    mask = next(image) < levels[0]
+    for m, level in enumerate(image, 1):
+        mask = mask & (level < levels[m])
+    return mask
 
 
 def in_region_one(d, params: ModelParams, topo: StarlikeTopology) -> bool:
-    """True iff the state strictly exceeds all three partial-fixed-point bounds."""
-    _require_three_levels(topo)
-    x, y, z = as_level_state(d, topo)
-    return bool(_region_one_mask(x, y, z, params, topo))
+    """True iff one map step strictly lowers every level of the state."""
+    return bool(_region_one_mask(as_level_state(d, topo), params, topo))
 
 
 def region_slice(z_level: float, grid_n: int, params: ModelParams,
@@ -50,19 +49,10 @@ def region_slice(z_level: float, grid_n: int, params: ModelParams,
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     xs = np.linspace(0.0, 1.0, grid_n)
-    # z as an array keeps phi_middle's power an array power, which can differ
-    # in the last ulp from the power of a numpy scalar.
-    z = np.full((1, 1), z_level)
-    return _region_one_mask(xs[:, None], xs[None, :], z, params, topo)
-
-
-def strict_decrease_check(d, params: ModelParams, topo: StarlikeTopology) -> bool:
-    """True iff one map step strictly decreases every coordinate of a Region I point."""
-    _require_three_levels(topo)
-    d = as_level_state(d, topo)
-    if not in_region_one(d, params, topo):
-        raise ValueError("state is not in Region I")
-    return bool(np.all(step_level(d, params, topo) < d))
+    # z as an array keeps the middle level's power an array power, which can
+    # differ in the last ulp from the power of a numpy scalar.
+    return _region_one_mask([xs[:, None], xs[None, :], np.full((1, 1), z_level)],
+                            params, topo)
 
 
 @dataclass

@@ -18,24 +18,31 @@ def step_level(d, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
 
 
 def _step_level(d: np.ndarray, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
-    """step_level on a state already validated by as_level_state.
+    """step_level on a state already validated by as_level_state."""
+    out = np.empty_like(d)
+    for i, level in enumerate(_map_levels([d[..., m] for m in range(topo.k)], params, topo)):
+        out[..., i] = level
+    return out
 
-    Each level's power is taken on its own slice: on a (k,) state that is a
-    scalar power, which can differ in the last ulp from a power taken on an
-    array, so vectorising over the levels would change iterate's output.
+
+def _map_levels(levels, params: ModelParams, topo: StarlikeTopology):
+    """Yield the k levels of the map's image of k level arrays, hub first.
+
+    The levels broadcast against each other, so a grid may pass each level
+    along its own axis.  Each power is taken on its own level's array: on a
+    (k,) state that is a scalar power, which can differ in the last ulp from
+    a power taken on an array, so vectorising over the levels would change
+    iterate's output.
     """
     a, b = params.a, params.b
     k = topo.k
     n = topo.branching
-    out = np.empty_like(d)
-    out[..., 0] = 1.0 - (1.0 - a * d[..., 0]) * (1.0 - b * d[..., 1]) ** n[0]
-    for m in range(2, k):
-        i = m - 1
-        out[..., i] = 1.0 - (1.0 - a * d[..., i]) * (1.0 - b * d[..., i - 1]) * (
-            1.0 - b * d[..., i + 1]
+    yield 1.0 - (1.0 - a * levels[0]) * (1.0 - b * levels[1]) ** n[0]
+    for i in range(1, k - 1):
+        yield 1.0 - (1.0 - a * levels[i]) * (1.0 - b * levels[i - 1]) * (
+            1.0 - b * levels[i + 1]
         ) ** n[i]
-    out[..., k - 1] = 1.0 - (1.0 - a * d[..., k - 1]) * (1.0 - b * d[..., k - 2])
-    return out
+    yield 1.0 - (1.0 - a * levels[k - 1]) * (1.0 - b * levels[k - 2])
 
 
 def step_level3(d, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:

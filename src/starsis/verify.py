@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from .fixedpoint import (RegimeKind, classify_regime, critical_b, hub_gap,
-                         phi_hub, phi_hub_inverse, phi_leaf, solve_fixed_point)
+from .fixedpoint import (RegimeKind, classify_regime, hub_gap, phi_hub, phi_hub_inverse,
+                         phi_leaf, solve_fixed_point, spectral_threshold)
 from .geometry import (_region_one_mask, check_convexity, region_slice, slopes_at_zero,
                        tail_composition)
 from .meanfield import coalescence_gap, step_full, step_level
@@ -21,10 +21,10 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
     check passes the first 50 random level states as one (50, k) batch
     through expand_state (-> (50, N)), step_full (-> (50, N)) and
     reduce_state (-> (50, k)), and compares with step_level of that batch.
-    On 3-level trees, the Region I checks filter _SAMPLES random states,
-    plus the unit corner, with the mask that in_region_one,
-    strict_decrease_check and region_slice share, then test that mask and
-    strict decrease on the batch's step_level image.  Above the threshold,
+    The Region I check stacks the unit corner onto _SAMPLES random states,
+    keeps the rows in Region I (T(d) < d, the mask that in_region_one and
+    region_slice share), and tests that mask on their step_level image.
+    Where T(1) rounds to 1, the corner is not in Region I.  Above the threshold,
     solver_cross_agreement reads the solver's error bound: it passes when
     max(error_bound / d) <= 1e-8.
     """
@@ -52,6 +52,11 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
     err = float(np.max(np.abs(full - step_level(rows, params, topo)), initial=0.0))
     checks["full_vs_reduced_consistency"] = err <= 1e-14
 
+    pts = np.vstack([rng.random((_SAMPLES, k)), np.ones(k)])
+    pts = pts[_region_one_mask(pts.T, params, topo)]
+    closure = _region_one_mask(step_level(pts, params, topo).T, params, topo)
+    checks["region_one_closed_under_map"] = bool(np.all(closure))
+
     if k == 3:
         slopes = slopes_at_zero(params, topo)
         checks["slope_formulas_match_finite_differences"] = (
@@ -73,13 +78,6 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
             lambda x: tail_composition(x, params, topo), (1e-3, 1.0), 500
         ).verdict == "concave"
 
-        pts = rng.random((_SAMPLES, 3))
-        pts = np.vstack([pts[_region_one_mask(*pts.T, params, topo)], np.ones(3)])
-        nxt = step_level(pts, params, topo)
-        closure = _region_one_mask(*nxt.T, params, topo)
-        checks["region_one_closed_under_map"] = bool(np.all(closure))
-        checks["region_one_strict_decrease"] = bool(np.all(nxt < pts))
-
         checks["region_slice_empty_at_z_zero"] = not region_slice(0.0, 41, params, topo).any()
         # pick a z strictly above phi_leaf(1) so the (1,1) corner qualifies
         z_corner = 0.5 * (1.0 + float(phi_leaf(1.0, params)))
@@ -96,7 +94,8 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
         checks["tail_curve_sign_changes_match_regime"] = flips == expected
 
     checks["threshold_decreasing_in_branching"] = (
-        critical_b(params.a, tuple(topo.branching) + (1,)) < critical_b(params.a, topo.branching)
+        spectral_threshold(params.a, topo.branching + (1,))
+        < spectral_threshold(params.a, topo.branching)
     )
 
     report = solve_fixed_point(params, topo)

@@ -3,6 +3,7 @@
 import mpmath
 import numpy as np
 
+from starsis.fixedpoint import phi_hub, phi_leaf, phi_middle
 from starsis.model import ModelParams, StarlikeTopology, as_level_state
 
 
@@ -22,6 +23,20 @@ def step_level3(d, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def region_one_bounds(levels, params: ModelParams, topo: StarlikeTopology):
+    """Region I as the partial-fixed-point bounds, elementwise over k level arrays.
+
+    d_1 > phi_hub(d_2), d_m > phi_middle(d_{m-1}, d_{m+1}) and
+    d_k > phi_leaf(d_{k-1}).  The levels broadcast against each other.
+    """
+    k, n = topo.k, topo.branching
+    mask = (levels[0] > phi_hub(levels[1], params, n[0])) & (
+        levels[k - 1] > phi_leaf(levels[k - 2], params))
+    for m in range(1, k - 1):
+        mask = mask & (levels[m] > phi_middle(levels[m - 1], levels[m + 1], params, n[m]))
+    return mask
 
 
 def loop_neighbors(topo: StarlikeTopology) -> list:

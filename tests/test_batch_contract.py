@@ -5,7 +5,8 @@ expand_state (..., k) level states.  Every batch row must be bitwise equal to
 the 1-D call on that row, whatever the input's memory layout.  The per-row
 loops that run_property_suite used before it made batched calls are kept
 here as oracles, as are the former per-level reduce_state and the written-out
-region_slice formula.
+region_slice formula.  The Region I mask, T(d) < d on the map kernel, is
+checked against the partial-fixed-point bounds in tests/oracles.py.
 """
 
 import warnings
@@ -13,10 +14,12 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import region_one_bounds
 from starsis import (ModelParams, coalescence_gap, expand_state, in_region_one,
                      make_topology, phi_hub, phi_leaf, phi_middle, reduce_state,
                      region_slice, sample_curves, solve_fixed_point, step_full,
                      step_level)
+from starsis.cli import FIGURE_ZS
 from starsis.geometry import _region_one_mask
 from starsis.model import as_node_state
 from starsis.verify import run_property_suite
@@ -39,23 +42,11 @@ def loop_consistency_error(d, params, topo):
     return err
 
 
-def loop_in_region_one(d, params, topo):
-    x, y, z = d
-    n1, n2 = topo.branching
-    return bool(
-        x > phi_hub(y, params, n1)
-        and y > phi_middle(x, z, params, n2)
-        and z > phi_leaf(y, params)
-    )
-
-
-def loop_region_checks(pts, params, topo):
-    region_pts = [row for row in pts if loop_in_region_one(row, params, topo)]
-    region_pts.append(np.ones(3))
-    closure = all(loop_in_region_one(step_level(p, params, topo), params, topo)
-                  for p in region_pts)
-    decrease = all(np.all(step_level(p, params, topo) < p) for p in region_pts)
-    return closure, decrease
+def loop_region_closure(pts, params, topo):
+    region_pts = [row for row in [*pts, np.ones(topo.k)]
+                  if region_one_bounds(row, params, topo)]
+    return all(region_one_bounds(step_level(p, params, topo), params, topo)
+               for p in region_pts)
 
 
 def loop_region_slice(z_level, grid_n, params, topo):
@@ -146,7 +137,7 @@ def test_suite_batched_checks_match_former_loops(shape, a, b, seed):
     params = ModelParams(a, b)
     samples = 200  # the suite's sample size
     # The suite's draws, in its order: states, then the two monotonicity
-    # batches, then (3 levels only) the Region I sample.
+    # batches, then the Region I sample.
     rng = np.random.default_rng(seed)
     d = rng.random((samples, topo.k))
     rng.random((samples, topo.k))
@@ -154,10 +145,9 @@ def test_suite_batched_checks_match_former_loops(shape, a, b, seed):
     checks = run_property_suite(params, topo, seed=seed)
     assert checks["full_vs_reduced_consistency"] == (
         loop_consistency_error(d, params, topo) <= 1e-14)
-    if topo.k == 3:
-        closure, decrease = loop_region_checks(rng.random((samples, 3)), params, topo)
-        assert checks["region_one_closed_under_map"] == closure
-        assert checks["region_one_strict_decrease"] == decrease
+    assert checks["region_one_closed_under_map"] == loop_region_closure(
+        rng.random((samples, topo.k)), params, topo)
+    assert "region_one_strict_decrease" not in checks
 
 
 @pytest.mark.parametrize("shape, a, b", [((6, 10), 0.5, 0.08), ((6, 10), 0.2, 0.5),
@@ -169,36 +159,74 @@ def test_region_mask_equals_in_region_one(shape, a, b):
     # Half uniform, half pushed toward the unit corner, so both outcomes occur.
     pts = rng.random((10_000, 3))
     pts[::2] = 1.0 - 0.3 * pts[::2]
-    mask = _region_one_mask(*pts.T, params, topo)
+    mask = _region_one_mask(pts.T, params, topo)
     want = np.array([in_region_one(row, params, topo) for row in pts])
     assert np.array_equal(mask, want)
-    assert np.array_equal(want, [loop_in_region_one(row, params, topo) for row in pts])
+    assert np.array_equal(want, region_one_bounds(pts.T, params, topo))
     assert 0 < want.sum() < len(want)
 
 
+@pytest.mark.parametrize("shape", [(6,), (6, 10), (6, 10, 4), (2, 2, 2, 2, 2, 2)])
+@pytest.mark.parametrize("a, b", [(0.5, 0.08), (0.5, 0.15), (0.2, 0.5), (0.9, 0.03)])
+def test_region_mask_equals_the_bounds_oracle(shape, a, b):
+    topo = make_topology(shape)
+    params = ModelParams(a, b)
+    rng = np.random.default_rng(len(shape))
+    # A quarter uniform, the rest pushed toward the unit corner, so both
+    # outcomes occur where the fixed point is near it.
+    pts = rng.random((20_000, topo.k))
+    pts[::2] = 1.0 - 0.3 * pts[::2]
+    pts[1::4] = 1.0 - 1e-3 * pts[1::4]
+    mask = _region_one_mask(pts.T, params, topo)
+    assert mask.tobytes() == region_one_bounds(pts.T, params, topo).tobytes()
+    assert 0 < mask.sum() < len(mask)
+
+
+@pytest.mark.parametrize("zs, grid_n", [(FIGURE_ZS, 101), ((0.25,), 21)])
+def test_region_mask_equals_the_bounds_oracle_on_pinned_grids(zs, grid_n):
+    # The grids of the two pinned `regions --a 0.5 --b 0.08 --branching 6,10` runs.
+    topo = make_topology((6, 10))
+    params = ModelParams(0.5, 0.08)
+    xs = np.linspace(0.0, 1.0, grid_n)
+    for z in zs:
+        want = region_one_bounds([xs[:, None], xs[None, :], np.full((1, 1), z)], params, topo)
+        assert region_slice(z, grid_n, params, topo).tobytes() == want.tobytes()
+
+
 def test_region_bounds_are_strict():
+    # The bounds' own rounding decides a state one ulp from a rounded bound,
+    # so this holds for the oracle; the library's T(d) < d may differ within
+    # a few dozen ulps of the bound.
     params = ModelParams(0.5, 0.15)
     topo = make_topology((6, 10))
     x, y, z = 0.9, 0.8, 0.5
-    assert in_region_one([x, y, z], params, topo)
+    assert region_one_bounds([x, y, z], params, topo)
     on_hub = float(phi_hub(y, params, 6))
     on_middle = float(phi_middle(x, z, params, 10))
     on_leaf = float(phi_leaf(y, params))
     for i, state in enumerate(([on_hub, y, z], [x, on_middle, z], [x, y, on_leaf])):
-        assert not in_region_one(state, params, topo)
+        assert not region_one_bounds(state, params, topo)
         state[i] = np.nextafter(state[i], 2.0)
-        assert in_region_one(state, params, topo)
+        assert region_one_bounds(state, params, topo)
 
 
-@pytest.mark.parametrize("fake_map, closed, decreasing", [
-    (lambda d, params, topo: np.zeros_like(d), False, True),
-    (lambda d, params, topo: np.asarray(d, dtype=float), True, False),
-])
-def test_suite_region_checks_see_the_mapped_batch(monkeypatch, fake_map, closed, decreasing):
+@pytest.mark.parametrize("fake_map, closed", [
+    (lambda d, params, topo: np.zeros_like(d), False),
+    (lambda d, params, topo: np.asarray(d, dtype=float), True),
+], ids=["zero_map", "identity_map"])
+def test_suite_region_checks_see_the_mapped_batch(monkeypatch, fake_map, closed):
     monkeypatch.setattr("starsis.verify.step_level", fake_map)
     checks = run_property_suite(ModelParams(0.5, 0.2), make_topology((6, 10)), seed=2)
     assert checks["region_one_closed_under_map"] is closed
-    assert checks["region_one_strict_decrease"] is decreasing
+
+
+@pytest.mark.parametrize("shape", [(6, 10), (6, 10, 4)])
+def test_suite_threshold_check_reads_the_spectral_threshold(monkeypatch, shape):
+    # critical_b is not the threshold for k >= 4, and on a sum of branching
+    # entries its check could not fail.
+    monkeypatch.setattr("starsis.verify.spectral_threshold", lambda a, branching: 0.1)
+    checks = run_property_suite(ModelParams(0.5, 0.2), make_topology(shape), seed=2)
+    assert checks["threshold_decreasing_in_branching"] is False
 
 
 @pytest.mark.parametrize("z", [0.0, 0.1, 0.5, 1.0])

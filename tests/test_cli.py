@@ -141,6 +141,8 @@ def test_verify_accepts_by_the_error_bound_where_the_curve_check_misses(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["all_passed"], payload["checks"]
+    # Region I is T(d) < d at any k, so its check runs on 4 levels too.
+    assert payload["checks"]["region_one_closed_under_map"] is True
 
 
 def test_verify_negative_control_slope_tol(capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import region_one_bounds
 from starsis import (ModelParams, check_convexity, in_region_one,
                      make_topology, phi_hub, phi_hub_inverse, phi_leaf, phi_middle,
                      region_slice, sample_curves, slopes_at_zero, step_level,
-                     strict_decrease_check, tail_composition)
+                     tail_composition)
 
 
 TOPO = make_topology((6, 10))
@@ -28,9 +29,23 @@ def test_region_membership_matches_direct_bounds():
 
 
 def test_region_requires_three_levels():
+    # Only the 2-D slice is a 3-level notion; membership holds for any k.
     params = ModelParams(0.5, 0.08)
+    topo = make_topology((6,))
     with pytest.raises(ValueError):
-        in_region_one([1.0, 1.0], params, make_topology((6,)))
+        region_slice(0.5, 11, params, topo)
+    assert in_region_one([1.0, 1.0], params, topo)
+    assert not in_region_one([0.0, 0.0], params, topo)
+
+
+def test_unit_corner_is_outside_where_the_hub_rounds_to_one():
+    # T_1(1) = 1 - 0.5 * 0.1**50 rounds to 1.0: the hub does not decrease,
+    # though the other two levels do.
+    params = ModelParams(0.5, 0.9)
+    topo = make_topology((50, 2))
+    image = step_level(np.ones(3), params, topo)
+    assert image[0] == 1.0 and np.all(image[1:] < 1.0)
+    assert not in_region_one(np.ones(3), params, topo)
 
 
 def test_region_slice_empty_at_z_zero():
@@ -53,23 +68,20 @@ def test_region_slice_nonempty_and_z_dependent():
     assert not np.array_equal(low, high)
 
 
-def test_strict_decrease_on_region_points():
+@pytest.mark.parametrize("shape", [(6,), (6, 10), (6, 10, 4)])
+def test_region_bounds_are_where_the_map_decreases(shape):
+    # T_m(d) - d_m falls strictly in d_m and is 0 at the level's partial
+    # fixed point, so a state is above every bound iff T(d) < d.
     rng = np.random.default_rng(11)
+    topo = make_topology(shape)
     for b in (0.08, 0.15):
         params = ModelParams(0.5, b)
-        assert strict_decrease_check([1.0, 1.0, 1.0], params, TOPO)
-        found = 0
-        for d in rng.random((3000, 3)):
-            if in_region_one(d, params, TOPO):
-                assert strict_decrease_check(d, params, TOPO)
-                found += 1
-        assert found > 10
-
-
-def test_strict_decrease_rejects_outside_points():
-    params = ModelParams(0.5, 0.08)
-    with pytest.raises(ValueError):
-        strict_decrease_check([0.0, 0.0, 0.0], params, TOPO)
+        d = np.vstack([rng.random((3000, topo.k)), np.ones(topo.k), np.zeros(topo.k)])
+        inside = region_one_bounds(d.T, params, topo)
+        decrease = np.all(step_level(d, params, topo) < d, axis=-1)
+        assert np.array_equal(inside, decrease)
+        assert inside[-2] and not inside[-1]
+        assert inside.sum() > 10
 
 
 def test_region_closed_under_map():
