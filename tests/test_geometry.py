@@ -84,6 +84,27 @@ def test_region_bounds_are_where_the_map_decreases(shape):
         assert inside.sum() > 10
 
 
+def test_strict_decrease_on_region_points():
+    rng = np.random.default_rng(11)
+    for b in (0.08, 0.15):
+        params = ModelParams(0.5, b)
+        assert np.all(step_level(np.ones(3), params, TOPO) < 1.0)
+        found = 0
+        for d in rng.random((3000, 3)):
+            if in_region_one(d, params, TOPO):
+                assert np.all(step_level(d, params, TOPO) < d)
+                found += 1
+        assert found > 10
+
+
+def test_strict_decrease_rejects_outside_points():
+    # The zero state is a fixed point, so it is outside Region I.
+    params = ModelParams(0.5, 0.08)
+    zero = np.zeros(3)
+    assert not in_region_one(zero, params, TOPO)
+    assert np.array_equal(step_level(zero, params, TOPO), zero)
+
+
 def test_region_closed_under_map():
     rng = np.random.default_rng(12)
     params = ModelParams(0.5, 0.08)
