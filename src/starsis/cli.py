@@ -190,7 +190,7 @@ def cmd_fixedpoint(args) -> int:
     payload = {
         "regime": report.regime.kind.value,
         "b_crit": report.regime.b_crit,
-        "trivial_point": [float(v) for v in report.trivial_point],
+        "trivial_point": [0.0] * topo.k,
         "nontrivial_point": (
             None if report.nontrivial_point is None
             else [float(v) for v in report.nontrivial_point]
@@ -234,8 +234,8 @@ def cmd_simulate(args) -> int:
     header = "step," + ",".join(f"level{i + 1}" for i in range(topo.k))
     _emit_table(header, np.column_stack([np.arange(len(prevalence)), prevalence]), args.out)
     meta = {
-        "master_seed": summary.master_seed,
-        "trials": summary.trials,
+        "master_seed": args.seed,
+        "trials": args.trials,
         "horizon": args.horizon,
         "extinction_steps": summary.extinction_steps,
     }

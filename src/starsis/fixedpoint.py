@@ -37,7 +37,6 @@ class Regime:
 @dataclass
 class FixedPointReport:
     regime: Regime
-    trivial_point: np.ndarray
     nontrivial_point: Optional[np.ndarray]
     iteration_residual: float
     curve_root_residual: float
@@ -364,11 +363,9 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology) -> FixedPoint
     rounding.
     """
     regime = classify_regime(params, topo)
-    trivial = np.zeros(topo.k)
     if regime.kind is not RegimeKind.SUPERCRITICAL:
         return FixedPointReport(
             regime=regime,
-            trivial_point=trivial,
             nontrivial_point=None,
             iteration_residual=0.0,
             curve_root_residual=0.0,
@@ -401,7 +398,6 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology) -> FixedPoint
         agreement = float(np.max(np.abs(point - point_curve)))
     return FixedPointReport(
         regime=regime,
-        trivial_point=trivial,
         nontrivial_point=point,
         iteration_residual=iteration_residual,
         curve_root_residual=curve_root_residual,

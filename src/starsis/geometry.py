@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import phi_hub, tail_curve, tail_state_of_hub
+from .fixedpoint import _U, phi_hub, tail_curve, tail_state_of_hub
 from .meanfield import _map_levels
 from .model import ModelParams, StarlikeTopology, as_level_state
 
@@ -57,7 +57,6 @@ def region_slice(z_level: float, grid_n: int, params: ModelParams,
 
 @dataclass
 class ConvexityReport:
-    grid: np.ndarray
     min_second_difference: float
     max_second_difference: float
     verdict: str  # "convex" | "concave" | "indeterminate"
@@ -89,8 +88,8 @@ def check_convexity(f, domain, grid_n: int) -> ConvexityReport:
         verdict = "concave"
     else:
         verdict = "indeterminate"
-    return ConvexityReport(grid=grid, min_second_difference=mn,
-                           max_second_difference=mx, verdict=verdict)
+    return ConvexityReport(min_second_difference=mn, max_second_difference=mx,
+                           verdict=verdict)
 
 
 def tail_composition(d1, params: ModelParams, topo: StarlikeTopology):
@@ -111,28 +110,35 @@ class SlopeReport:
     tail_slope_fd: float
 
 
+def _slope_estimates(params: ModelParams, topo: StarlikeTopology):
+    """Estimates of the hub and tail curves' slopes at 0, each with an error bound.
+
+    R(h) = 2 f(h)/h - f(2h)/(2h) cancels the secant's O(h) term.  Its
+    truncation is (R(2h) - R(h))/3 to leading order, doubled here to cover
+    the O(h^3) rest.  A curve value is off by at most rho = (n + 8) u S to
+    first order, with S = 1/(1 - a) or 1/b the scale it cancels from and n
+    the largest branching entry, which moves R(h) by 2.5 rho/h and the
+    doubled truncation estimate by 2.5 rho/h.
+    """
+    h = 2.0 ** -18  # near u^(1/3) = 2^-17.7, where rounding ~u/h and truncation ~h^2 balance
+    n1 = topo.branching[0]
+    rho = (max(topo.branching) + 8) * _U
+    for f, scale in ((lambda t: phi_hub(t, params, n1), 1.0 / (1.0 - params.a)),
+                     (lambda t: tail_curve(t, params, topo)[0], 1.0 / params.b)):
+        f1, f2, f4 = (float(f(t)) for t in (h, 2.0 * h, 4.0 * h))
+        fd = 2.0 * f1 / h - f2 / (2.0 * h)
+        yield fd, 5.0 * rho * scale / h + 2.0 * abs(fd - f2 / h + f4 / (4.0 * h)) / 3.0
+
+
 def slopes_at_zero(params: ModelParams, topo: StarlikeTopology) -> SlopeReport:
     """Closed-form slopes at the origin of the two intersection curves, plus
-    finite-difference estimates.
-
-    Both curves vanish at 0, so f(h)/h at h = 1e-7 is a one-sided
-    secant with O(h) error; the Richardson form 2 f(h)/h - f(2h)/(2h)
-    cancels that term and keeps the estimate within relative tolerance where
-    the tail slope is small.
-    """
+    finite-difference estimates (Richardson, at h = 2^-18)."""
     _require_three_levels(topo)
     a, b = params.a, params.b
     n1, n2 = topo.branching
-    hub_slope = b * n1 / (1.0 - a)
-    tail_slope = ((1.0 - a) ** 2 - b * b * n2) / (b * (1.0 - a))
-    h = 1e-7
-
-    def slope_fd(f):
-        return 2.0 * float(f(h)) / h - float(f(2.0 * h)) / (2.0 * h)
-
-    hub_fd = slope_fd(lambda t: phi_hub(t, params, n1))
-    tail_fd = slope_fd(lambda t: tail_curve(t, params, topo)[0])
-    return SlopeReport(hub_slope=hub_slope, tail_slope=tail_slope,
+    (hub_fd, _), (tail_fd, _) = _slope_estimates(params, topo)
+    return SlopeReport(hub_slope=b * n1 / (1.0 - a),
+                       tail_slope=((1.0 - a) ** 2 - b * b * n2) / (b * (1.0 - a)),
                        hub_slope_fd=hub_fd, tail_slope_fd=tail_fd)
 
 

@@ -105,24 +105,23 @@ def make_topology(branching) -> StarlikeTopology:
     return StarlikeTopology(tuple(branching))
 
 
+def _as_state(x, size: int, kind: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != size:
+        raise ValueError(f"{kind} state must have shape (..., {size}), got {x.shape}")
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails both comparisons
+        raise ValueError(f"{kind} state entries must lie in [0,1]")
+    return x
+
+
 def as_level_state(d, topo: StarlikeTopology) -> np.ndarray:
-    """Validate a per-level state vector (length k, entries in [0,1])."""
-    d = np.asarray(d, dtype=float)
-    if d.shape[-1] != topo.k:
-        raise ValueError(f"level state must have length {topo.k}, got shape {d.shape}")
-    if not np.all((d >= 0.0) & (d <= 1.0)):  # NaN fails both comparisons
-        raise ValueError("level state entries must lie in [0,1]")
-    return d
+    """Validate per-level probabilities of shape (..., k), entries in [0,1]."""
+    return _as_state(d, topo.k, "level")
 
 
 def as_node_state(p, topo: StarlikeTopology) -> np.ndarray:
     """Validate per-node probabilities of shape (..., node_count), entries in [0,1]."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 0 or p.shape[-1] != topo.node_count:
-        raise ValueError(f"node state must have shape (..., {topo.node_count}), got {p.shape}")
-    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
-        raise ValueError("node state entries must lie in [0,1]")
-    return p
+    return _as_state(p, topo.node_count, "node")
 
 
 def expand_state(d, topo: StarlikeTopology) -> np.ndarray:

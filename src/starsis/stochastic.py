@@ -22,18 +22,10 @@ class ChainState:
     infected: np.ndarray  # bool, length node_count
 
 
-def make_chain_state(topo: StarlikeTopology, infected_nodes=None, all_infected=False) -> ChainState:
-    inf = np.zeros(topo.node_count, dtype=bool)
-    if all_infected:
-        inf[:] = True
-    elif infected_nodes is not None:
-        idx = np.asarray(infected_nodes)
-        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0
-                         or idx.max() >= topo.node_count):
-            raise ValueError(f"infected_nodes must be integer node indices in "
-                             f"[0, {topo.node_count})")
-        inf[idx.astype(np.intp)] = True
-    return ChainState(infected=inf)
+def make_chain_state(topo: StarlikeTopology, all_infected=False) -> ChainState:
+    """The all-healthy start state, or the all-infected one.  Any other start
+    is ChainState(mask), with mask a bool vector over the nodes."""
+    return ChainState(infected=np.full(topo.node_count, bool(all_infected)))
 
 
 def _check_infected(infected, topo: StarlikeTopology) -> None:
@@ -83,8 +75,6 @@ def step_chain(state: ChainState, params: ModelParams, topo: StarlikeTopology,
 class RunSummary:
     prevalence: np.ndarray            # (horizon + 1, k) mean per-level infected fraction
     extinction_steps: List[Optional[int]]  # per trial, step at which all-healthy was reached
-    master_seed: int
-    trials: int
 
 
 def _cpu_count() -> int:
@@ -194,5 +184,4 @@ def run_trials(params: ModelParams, topo: StarlikeTopology, init: ChainState,
     total = sum(counts for counts, _ in results)
     extinction = [e for _, ext in results for e in ext]
     sizes = np.array(topo.level_sizes, dtype=float)
-    return RunSummary(prevalence=total / (trials * sizes), extinction_steps=extinction,
-                      master_seed=master_seed, trials=trials)
+    return RunSummary(prevalence=total / (trials * sizes), extinction_steps=extinction)

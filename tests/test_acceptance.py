@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import loop_neighbors, step_level3
-from starsis import (ModelParams, coalescence_gap, critical_b, expand_state, hub_gap,
+from starsis import (ChainState, ModelParams, coalescence_gap, critical_b, expand_state, hub_gap,
                      iterate, make_chain_state, make_topology, phi_hub, phi_hub_inverse,
                      reduce_state, solve_fixed_point,
                      step_chain, step_full, step_level,
@@ -212,7 +212,7 @@ def test_criterion_09_full_vs_reduced_consistency():
 def test_criterion_10_stochastic_one_step_law_and_plateau():
     topo = make_topology((2, 2))
     params = ModelParams(A, 0.3)
-    start = make_chain_state(topo, infected_nodes=[0, 2, 4, 6])
+    start = ChainState(np.array([1, 0, 1, 0, 1, 0, 1], dtype=bool))
     expected = step_full(start.infected.astype(float), params, topo)
     rng = np.random.default_rng(1234)
     n = 100_000

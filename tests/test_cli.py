@@ -1,12 +1,15 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from starsis import critical_b, spectral_threshold
+import starsis.verify
+from starsis import ModelParams, critical_b, make_topology, spectral_threshold
 from starsis.cli import _emit_table, main
+from starsis.verify import _slopes_match
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +70,7 @@ def test_fixedpoint_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["regime"] == "supercritical"
+    assert payload["trivial_point"] == [0.0, 0.0, 0.0]
     assert payload["agreement"] <= 1e-11
     point = payload["nontrivial_point"]
     assert all(0 < v < 1 for v in point)
@@ -127,11 +131,12 @@ def test_simulate_deterministic(tmp_path, capsys):
 
 
 def test_verify_default_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--a", "0.5", "--b", "0.15",
-                           "--branching", "6,10")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["all_passed"], payload["checks"]
+    # At b = 0.158 the tail slope is near 0, where a relative test alone failed.
+    for b in ("0.15", "0.158"):
+        code, out, _ = run_cli(capsys, "verify", "--a", "0.5", "--b", b, "--branching", "6,10")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_passed"], payload["checks"]
 
 
 def test_verify_accepts_by_the_error_bound_where_the_curve_check_misses(capsys):
@@ -145,12 +150,36 @@ def test_verify_accepts_by_the_error_bound_where_the_curve_check_misses(capsys):
     assert payload["checks"]["region_one_closed_under_map"] is True
 
 
-def test_verify_negative_control_slope_tol(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--a", "0.5", "--b", "0.15",
-                           "--branching", "6,10", "--slope-tol", "1e-15")
-    assert code == 0
-    payload = json.loads(out)
-    assert not payload["checks"]["slope_formulas_match_finite_differences"]
+def closed_form_off_by(monkeypatch, field, rel):
+    """Make verify see one closed-form slope off by rel, relative."""
+    real = starsis.verify.slopes_at_zero
+
+    def off(params, topo):
+        report = real(params, topo)
+        return dataclasses.replace(report, **{field: getattr(report, field) * (1.0 + rel)})
+
+    monkeypatch.setattr(starsis.verify, "slopes_at_zero", off)
+
+
+def test_verify_negative_control_slope_tol(monkeypatch, capsys):
+    # Either closed form off by 1e-4 relative fails the check at the default tolerance.
+    for field in ("hub_slope", "tail_slope"):
+        with monkeypatch.context() as patch:
+            closed_form_off_by(patch, field, 1e-4)
+            code, out, _ = run_cli(capsys, "verify", "--a", "0.5", "--b", "0.15",
+                                   "--branching", "6,10")
+        assert code == 0
+        assert not json.loads(out)["checks"]["slope_formulas_match_finite_differences"]
+
+
+def test_slope_check_holds_where_the_tail_slope_crosses_zero(monkeypatch):
+    # a = 0.5 on (6,10): the tail slope is 0 at b = 0.1581, and a relative
+    # test alone failed at 22 of these b.  A closed form off by 1e-4 fails at each.
+    topo = make_topology((6, 10))
+    bs = np.arange(1260, 2501) / 1e4
+    assert all(_slopes_match(ModelParams(0.5, b), topo, 1e-6) for b in bs)
+    closed_form_off_by(monkeypatch, "tail_slope", 1e-4)
+    assert not any(_slopes_match(ModelParams(0.5, b), topo, 1e-6) for b in bs)
 
 
 def test_verify_exact_threshold_tie(capsys):
@@ -198,6 +227,17 @@ def test_format_flag_rejected(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--b", "0.15", "--format", "csv"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["threshold", "--branching", "6,x"], "6,x"),
+    (["fixedpoint", "--a", "0.5", "--branching", "6,10"], "--b"),
+])
+def test_bad_branching_or_missing_b_is_validation_error(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and named in err
 
 
 def test_config_key_the_command_does_not_take_is_validation_error(tmp_path, capsys):
@@ -280,13 +320,16 @@ def test_fixedpoint_prints_null_where_the_curve_route_finds_no_root(capsys):
     assert len(payload["error_bound"]) == 5
 
 
-def test_config_supplies_slope_tol(tmp_path, capsys):
+def test_config_supplies_slope_tol(tmp_path, monkeypatch, capsys):
+    # A closed form off by 1e-4 fails at the default tolerance and passes at 1e-3.
+    closed_form_off_by(monkeypatch, "tail_slope", 1e-4)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"slope-tol": 1e-15}))
-    code, out, _ = run_cli(capsys, "verify", "--a", "0.5", "--b", "0.15",
-                           "--branching", "6,10", "--config", str(cfg))
-    assert code == 0
-    assert not json.loads(out)["checks"]["slope_formulas_match_finite_differences"]
+    cfg.write_text(json.dumps({"slope-tol": 1e-3}))
+    argv = ["verify", "--a", "0.5", "--b", "0.15", "--branching", "6,10"]
+    for extra, passed in (([], False), (["--config", str(cfg)], True)):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        assert json.loads(out)["checks"]["slope_formulas_match_finite_differences"] is passed
 
 
 def test_iterate_nan_start_is_validation_error(tmp_path, capsys):
@@ -351,8 +394,22 @@ CSV_SHA256 = [
 ]
 
 
+# The curves table takes numpy array powers, whose last bits follow numpy's
+# power dispatch: its AVX-512 loop differs from libm's pow on a few percent of
+# inputs, and without AVX-512 numpy calls libm.  The digest above is the
+# AVX-512 one; this is the libm one.  Both were taken with numpy 2.4.6.
+CURVES_SHA256_LIBM_POWER = "984e6caea1b3a112510a0659af17b6774cc6eb1f60f66a1ad7c307401bda6f2c"
+
+
+def array_power_is_libm_pow():
+    x = np.linspace(0.01, 0.99, 1001)
+    return np.array_equal(x ** 10, [float(v) ** 10 for v in x])
+
+
 @pytest.mark.parametrize("argv, want", CSV_SHA256, ids=[" ".join(a) for a, _ in CSV_SHA256])
 def test_csv_bytes_pinned(tmp_path, argv, want):
+    if argv == ["curves"] and array_power_is_libm_pow():
+        want = (CURVES_SHA256_LIBM_POWER,)
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     paths = (out, tmp_path / "out.csv.json")[:len(want)]

@@ -138,7 +138,6 @@ def test_solve_subcritical_reports_no_nontrivial_point():
     report = solve_fixed_point(ModelParams(0.5, 0.08), topo)
     assert report.regime.kind is RegimeKind.SUBCRITICAL
     assert report.nontrivial_point is None
-    assert np.array_equal(report.trivial_point, np.zeros(3))
 
 
 def test_solve_critical_reports_no_nontrivial_point():

@@ -36,6 +36,14 @@ def test_region_requires_three_levels():
         region_slice(0.5, 11, params, topo)
     assert in_region_one([1.0, 1.0], params, topo)
     assert not in_region_one([0.0, 0.0], params, topo)
+    with pytest.raises(ValueError):
+        in_region_one(0.5, params, topo)
+
+
+@pytest.mark.parametrize("z, grid_n", [(-0.1, 11), (1.1, 11), (np.nan, 11), (0.5, 1)])
+def test_region_slice_rejects_bad_height_or_grid(z, grid_n):
+    with pytest.raises(ValueError):
+        region_slice(z, grid_n, ModelParams(0.5, 0.08), TOPO)
 
 
 def test_unit_corner_is_outside_where_the_hub_rounds_to_one():

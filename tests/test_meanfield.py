@@ -214,8 +214,12 @@ def test_nan_states_and_tol_rejected():
     with pytest.raises(ValueError):
         step_level([np.nan, 0.5, 0.5], params, topo)
     with pytest.raises(ValueError):
+        step_level(0.5, params, topo)
+    with pytest.raises(ValueError):
         step_full(np.full(topo.node_count, np.nan), params, topo)
     with pytest.raises(ValueError):
         iterate([np.nan, 0.5, 0.5], params, topo)
+    with pytest.raises(ValueError):
+        iterate(0.5, params, topo)
     with pytest.raises(ValueError):
         iterate(np.ones(3), params, topo, tol=np.nan)

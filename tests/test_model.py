@@ -59,6 +59,8 @@ def test_state_validation():
     with pytest.raises(ValueError):
         expand_state([1.5, 0.5, 0.5], topo)
     with pytest.raises(ValueError):
+        expand_state(0.5, topo)
+    with pytest.raises(ValueError):
         reduce_state(np.zeros(66), topo)
 
 
