@@ -62,7 +62,6 @@ def _build_parser():
     commands["simulate"].add_argument("--trials", type=int, default=50)
     commands["simulate"].add_argument("--seed", type=int, default=0)
     commands["verify"].add_argument("--seed", type=int, default=0)
-    commands["verify"].add_argument("--slope-tol", type=float, default=1e-6)
     return parser
 
 
@@ -245,7 +244,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     _, params, topo = _model_inputs(args)
-    checks = run_property_suite(params, topo, seed=args.seed, slope_tol=args.slope_tol)
+    checks = run_property_suite(params, topo, seed=args.seed)
     payload = {"checks": checks, "all_passed": all(checks.values())}
     _emit_json(payload, args.out)
     return EXIT_OK

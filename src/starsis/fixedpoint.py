@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .meanfield import _step_level, iterate
-from .model import ModelParams, StarlikeTopology
+from .model import ModelParams, StarlikeTopology, _as_branching
 
 
 _U = np.finfo(float).eps / 2  # unit roundoff
@@ -51,10 +51,7 @@ def critical_b(a: float, branching) -> float:
     """
     if not (0.0 < a < 1.0):
         raise ValueError(f"a must be in (0,1), got {a}")
-    branching = tuple(int(n) for n in branching)
-    if len(branching) == 0 or any(n < 1 for n in branching):
-        raise ValueError(f"invalid branching vector {branching}")
-    return (1.0 - a) / np.sqrt(sum(branching))
+    return (1.0 - a) / np.sqrt(sum(_as_branching(branching)))
 
 
 def level_matrix(branching) -> np.ndarray:

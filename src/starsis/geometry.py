@@ -33,8 +33,12 @@ def _region_one_mask(levels, params: ModelParams, topo: StarlikeTopology):
 
 
 def in_region_one(d, params: ModelParams, topo: StarlikeTopology) -> bool:
-    """True iff one map step strictly lowers every level of the state."""
-    return bool(_region_one_mask(as_level_state(d, topo), params, topo))
+    """True iff one map step strictly lowers every level of the one state d."""
+    d = as_level_state(d, topo)
+    if d.ndim != 1:
+        raise ValueError(f"in_region_one takes one level state of shape ({topo.k},), "
+                         f"got {d.shape}")
+    return bool(_region_one_mask(d, params, topo))
 
 
 def region_slice(z_level: float, grid_n: int, params: ModelParams,
@@ -108,38 +112,35 @@ class SlopeReport:
     tail_slope: float       # closed form ((1-a)^2 - b^2*n2) / (b*(1-a))
     hub_slope_fd: float
     tail_slope_fd: float
-
-
-def _slope_estimates(params: ModelParams, topo: StarlikeTopology):
-    """Estimates of the hub and tail curves' slopes at 0, each with an error bound.
-
-    R(h) = 2 f(h)/h - f(2h)/(2h) cancels the secant's O(h) term.  Its
-    truncation is (R(2h) - R(h))/3 to leading order, doubled here to cover
-    the O(h^3) rest.  A curve value is off by at most rho = (n + 8) u S to
-    first order, with S = 1/(1 - a) or 1/b the scale it cancels from and n
-    the largest branching entry, which moves R(h) by 2.5 rho/h and the
-    doubled truncation estimate by 2.5 rho/h.
-    """
-    h = 2.0 ** -18  # near u^(1/3) = 2^-17.7, where rounding ~u/h and truncation ~h^2 balance
-    n1 = topo.branching[0]
-    rho = (max(topo.branching) + 8) * _U
-    for f, scale in ((lambda t: phi_hub(t, params, n1), 1.0 / (1.0 - params.a)),
-                     (lambda t: tail_curve(t, params, topo)[0], 1.0 / params.b)):
-        f1, f2, f4 = (float(f(t)) for t in (h, 2.0 * h, 4.0 * h))
-        fd = 2.0 * f1 / h - f2 / (2.0 * h)
-        yield fd, 5.0 * rho * scale / h + 2.0 * abs(fd - f2 / h + f4 / (4.0 * h)) / 3.0
+    hub_slope_fd_error: float   # bound on |hub_slope_fd - true slope|
+    tail_slope_fd_error: float  # bound on |tail_slope_fd - true slope|
 
 
 def slopes_at_zero(params: ModelParams, topo: StarlikeTopology) -> SlopeReport:
     """Closed-form slopes at the origin of the two intersection curves, plus
-    finite-difference estimates (Richardson, at h = 2^-18)."""
+    finite-difference estimates, each with an error bound.
+
+    Each curve f is evaluated once, at h, 2h and 4h with h = 2^-18.  The
+    estimate R(h) = 2 f(h)/h - f(2h)/(2h) cancels the secant's O(h) term.
+    Its truncation is (R(2h) - R(h))/3 to leading order, doubled here to
+    cover the O(h^3) rest.  A curve value is off by at most rho = (n + 8) u S
+    to first order, with S = 1/(1 - a) or 1/b the scale it cancels from and
+    n the largest branching entry, which moves R(h) by 2.5 rho/h and the
+    doubled truncation estimate by 2.5 rho/h.
+    """
     _require_three_levels(topo)
     a, b = params.a, params.b
     n1, n2 = topo.branching
-    (hub_fd, _), (tail_fd, _) = _slope_estimates(params, topo)
+    h = 2.0 ** -18  # near u^(1/3) = 2^-17.7, where rounding ~u/h and truncation ~h^2 balance
+    ts = np.array([h, 2.0 * h, 4.0 * h])
+    f1, f2, f4 = np.array([phi_hub(ts, params, n1), tail_curve(ts, params, topo)[:, 0]]).T
+    fd = 2.0 * f1 / h - f2 / (2.0 * h)
+    rho, scale = (max(n1, n2) + 8) * _U, np.array([1.0 / (1.0 - a), 1.0 / b])
+    err = 5.0 * rho * scale / h + 2.0 * abs(fd - f2 / h + f4 / (4.0 * h)) / 3.0
     return SlopeReport(hub_slope=b * n1 / (1.0 - a),
                        tail_slope=((1.0 - a) ** 2 - b * b * n2) / (b * (1.0 - a)),
-                       hub_slope_fd=hub_fd, tail_slope_fd=tail_fd)
+                       hub_slope_fd=float(fd[0]), tail_slope_fd=float(fd[1]),
+                       hub_slope_fd_error=float(err[0]), tail_slope_fd_error=float(err[1]))
 
 
 def sample_curves(params: ModelParams, topo: StarlikeTopology, grid_n: int) -> np.ndarray:

@@ -33,12 +33,7 @@ class StarlikeTopology:
     branching: tuple
 
     def __post_init__(self):
-        branching = tuple(int(n) for n in self.branching)
-        if len(branching) == 0:
-            raise ValueError("branching vector must be non-empty")
-        if any(n < 1 for n in branching):
-            raise ValueError(f"branching entries must be >= 1, got {branching}")
-        object.__setattr__(self, "branching", branching)
+        object.__setattr__(self, "branching", _as_branching(self.branching))
 
     @property
     def k(self) -> int:
@@ -99,6 +94,26 @@ class EdgeArrays(NamedTuple):
     src: np.ndarray     # (2(N-1),) source node of each directed edge
     dst: np.ndarray     # (2(N-1),) target node of each directed edge
     starts: np.ndarray  # (N,) index of each target's first edge
+
+
+def _as_branching(branching) -> tuple:
+    """Validate a branching vector: one or more integral entries, each >= 1.
+
+    Entries come back as Python ints.  A non-integral entry such as 6.7
+    raises rather than being truncated.
+    """
+    branching = tuple(branching)
+    try:
+        entries = tuple(int(n) for n in branching)
+    except (TypeError, ValueError, OverflowError):
+        entries = None
+    if entries != branching:  # elementwise by value, so 6.0 passes and 6.7 does not
+        raise ValueError(f"branching entries must be integers, got {branching}")
+    if len(entries) == 0:
+        raise ValueError("branching vector must be non-empty")
+    if any(n < 1 for n in entries):
+        raise ValueError(f"branching entries must be >= 1, got {entries}")
+    return entries
 
 
 def make_topology(branching) -> StarlikeTopology:

@@ -4,25 +4,26 @@ import numpy as np
 
 from .fixedpoint import (RegimeKind, classify_regime, hub_gap, phi_hub, phi_hub_inverse,
                          phi_leaf, solve_fixed_point, spectral_threshold)
-from .geometry import (_region_one_mask, _slope_estimates, check_convexity, region_slice,
-                       slopes_at_zero, tail_composition)
+from .geometry import (_region_one_mask, check_convexity, region_slice, slopes_at_zero,
+                       tail_composition)
 from .meanfield import coalescence_gap, step_full, step_level
 from .model import ModelParams, StarlikeTopology, expand_state, reduce_state
 from .stochastic import make_chain_state, run_trials
 
 _SAMPLES = 200  # random states per batched check
+_SLOPE_TOL = 1e-6  # relative slack of each slope estimate, on top of its error bound
 
 
-def _slopes_match(params: ModelParams, topo: StarlikeTopology, slope_tol: float) -> bool:
-    """Each slope estimate at 0 is within slope_tol relative of its closed
+def _slopes_match(params: ModelParams, topo: StarlikeTopology) -> bool:
+    """Each slope estimate at 0 is within _SLOPE_TOL relative of its closed
     form, plus the estimate's own error bound."""
-    slopes = slopes_at_zero(params, topo)
-    pairs = zip((slopes.hub_slope, slopes.tail_slope), _slope_estimates(params, topo))
-    return all(abs(fd - closed) <= slope_tol * abs(closed) + err for closed, (fd, err) in pairs)
+    s = slopes_at_zero(params, topo)
+    return all(abs(fd - closed) <= _SLOPE_TOL * abs(closed) + err
+               for closed, fd, err in ((s.hub_slope, s.hub_slope_fd, s.hub_slope_fd_error),
+                                       (s.tail_slope, s.tail_slope_fd, s.tail_slope_fd_error)))
 
 
-def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 0,
-                       slope_tol: float = 1e-6) -> dict:
+def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 0) -> dict:
     """Run the numerical invariant checks and return {check_name: passed}.
 
     Every check on many states makes one batched call.  The full-vs-reduced
@@ -33,7 +34,7 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
     keeps the rows in Region I (T(d) < d, the mask that in_region_one and
     region_slice share), and tests that mask on their step_level image.
     Where T(1) rounds to 1, the corner is not in Region I.  The slope check
-    allows each estimate its error bound on top of slope_tol relative, so it
+    allows each estimate its error bound on top of 1e-6 relative, so it
     holds where the tail slope crosses 0.  Above the threshold,
     solver_cross_agreement reads the solver's error bound: it passes when
     max(error_bound / d) <= 1e-8.
@@ -68,7 +69,7 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
     checks["region_one_closed_under_map"] = bool(np.all(closure))
 
     if k == 3:
-        checks["slope_formulas_match_finite_differences"] = _slopes_match(params, topo, slope_tol)
+        checks["slope_formulas_match_finite_differences"] = _slopes_match(params, topo)
 
         n1 = topo.branching[0]
         checks["hub_curve_convex_in_d1"] = check_convexity(

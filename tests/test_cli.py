@@ -177,9 +177,25 @@ def test_slope_check_holds_where_the_tail_slope_crosses_zero(monkeypatch):
     # test alone failed at 22 of these b.  A closed form off by 1e-4 fails at each.
     topo = make_topology((6, 10))
     bs = np.arange(1260, 2501) / 1e4
-    assert all(_slopes_match(ModelParams(0.5, b), topo, 1e-6) for b in bs)
+    assert all(_slopes_match(ModelParams(0.5, b), topo) for b in bs)
     closed_form_off_by(monkeypatch, "tail_slope", 1e-4)
-    assert not any(_slopes_match(ModelParams(0.5, b), topo, 1e-6) for b in bs)
+    assert not any(_slopes_match(ModelParams(0.5, b), topo) for b in bs)
+
+
+def test_slope_check_judges_by_the_reported_error_bounds(monkeypatch):
+    # At b = 0.1581 the tail slope is about 6e-4, so the relative tolerance
+    # allows almost nothing and the estimate's own error bound carries the
+    # check; with both bounds zeroed the check fails there.
+    real = starsis.verify.slopes_at_zero
+
+    def no_bounds(params, topo):
+        return dataclasses.replace(real(params, topo), hub_slope_fd_error=0.0,
+                                   tail_slope_fd_error=0.0)
+
+    params, topo = ModelParams(0.5, 0.1581), make_topology((6, 10))
+    assert _slopes_match(params, topo)
+    monkeypatch.setattr(starsis.verify, "slopes_at_zero", no_bounds)
+    assert not _slopes_match(params, topo)
 
 
 def test_verify_exact_threshold_tie(capsys):
@@ -261,6 +277,19 @@ def test_fixedpoint_takes_no_tol(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_verify_takes_no_slope_tol(tmp_path, capsys):
+    # The slope tolerance is a fixed 1e-6; neither a flag nor a config key sets it.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 0.15, "slope-tol": 1e-3}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "slope-tol" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--b", "0.15", "--slope-tol", "1e-3"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("command", ["threshold", "iterate", "curves"])
 def test_config_null_for_flag_with_a_default_is_validation_error(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"
@@ -318,18 +347,6 @@ def test_fixedpoint_prints_null_where_the_curve_route_finds_no_root(capsys):
     payload = json.loads(out, parse_constant=reject)
     assert payload["agreement"] is None and payload["curve_root_residual"] is None
     assert len(payload["error_bound"]) == 5
-
-
-def test_config_supplies_slope_tol(tmp_path, monkeypatch, capsys):
-    # A closed form off by 1e-4 fails at the default tolerance and passes at 1e-3.
-    closed_form_off_by(monkeypatch, "tail_slope", 1e-4)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"slope-tol": 1e-3}))
-    argv = ["verify", "--a", "0.5", "--b", "0.15", "--branching", "6,10"]
-    for extra, passed in (([], False), (["--config", str(cfg)], True)):
-        code, out, _ = run_cli(capsys, *argv, *extra)
-        assert code == 0
-        assert json.loads(out)["checks"]["slope_formulas_match_finite_differences"] is passed
 
 
 def test_iterate_nan_start_is_validation_error(tmp_path, capsys):

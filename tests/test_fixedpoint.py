@@ -4,7 +4,7 @@ import pytest
 from starsis import (ModelParams, RegimeKind, SolverInvariantError,
                      classify_regime, critical_b, hub_gap, iterate,
                      make_topology, phi_hub, phi_leaf, phi_middle,
-                     solve_fixed_point, step_level, tail_curve)
+                     solve_fixed_point, spectral_threshold, step_level, tail_curve)
 
 
 def tail_curve_closed_form_k3(y, a, b, n2):
@@ -33,6 +33,13 @@ def test_critical_b_validation():
         critical_b(0.5, ())
     with pytest.raises(ValueError):
         critical_b(0.5, (6, 0))
+    # A non-integral entry raises; (6.7, 10) must not be read as (6, 10).
+    for branching in [(6.7, 10), (6, 10.2)]:
+        with pytest.raises(ValueError, match="integers"):
+            critical_b(0.5, branching)
+        with pytest.raises(ValueError, match="integers"):
+            spectral_threshold(0.5, branching + (4,))
+    assert critical_b(0.5, (np.int64(6), 10.0)) == critical_b(0.5, (6, 10)) == 0.125
 
 
 def test_classify_regime():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,10 @@ def test_region_requires_three_levels():
     assert not in_region_one([0.0, 0.0], params, topo)
     with pytest.raises(ValueError):
         in_region_one(0.5, params, topo)
+    # A batch is not one state, whatever its row count.
+    for shape in [(2, 3), (3, 3)]:
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            in_region_one(np.ones(shape), params, TOPO)
 
 
 @pytest.mark.parametrize("z, grid_n", [(-0.1, 11), (1.1, 11), (np.nan, 11), (0.5, 1)])

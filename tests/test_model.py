@@ -16,8 +16,9 @@ def test_level_counts():
     assert topo.level_sizes == (1, 6, 60)
 
 
-@pytest.mark.parametrize("branching", [(), (0,), (3, -1)])
+@pytest.mark.parametrize("branching", [(), (0,), (3, -1), (6.7, 10.2), (6, np.float64(10.5))])
 def test_invalid_branching_rejected(branching):
+    # A non-integral entry raises rather than being truncated to an integer.
     with pytest.raises(ValueError):
         make_topology(branching)
 
