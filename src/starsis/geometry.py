@@ -63,16 +63,22 @@ def region_slice(z_level: float, grid_n: int, params: ModelParams,
 class ConvexityReport:
     min_second_difference: float
     max_second_difference: float
-    verdict: str  # "convex" | "concave" | "indeterminate"
+
+    @property
+    def convex(self) -> bool:
+        return self.min_second_difference >= -1e-12
+
+    @property
+    def concave(self) -> bool:
+        return self.max_second_difference <= 1e-12
 
 
 def check_convexity(f, domain, grid_n: int) -> ConvexityReport:
-    """Classify a scalar function by central second differences on a uniform grid.
+    """Central second differences of a scalar function on a uniform grid.
 
     f is called once, on the whole grid array, so it must be elementwise:
-    f(grid) returns one value per grid point.  A function passing both
-    checks (affine) is reported convex; that tie rule is arbitrary but fixed.
-    Second differences within 1e-12 of zero count as zero.
+    f(grid) returns one value per grid point.  Second differences within 1e-12
+    of zero count as zero: affine f is convex and concave, a wiggle or NaN neither.
     """
     lo, hi = domain
     if not lo < hi:
@@ -85,15 +91,8 @@ def check_convexity(f, domain, grid_n: int) -> ConvexityReport:
         raise ValueError(f"f must be elementwise: f(grid) has shape {vals.shape}, "
                          f"expected {grid.shape}")
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    mn, mx = float(second.min()), float(second.max())
-    if mn >= -1e-12:
-        verdict = "convex"
-    elif mx <= 1e-12:
-        verdict = "concave"
-    else:
-        verdict = "indeterminate"
-    return ConvexityReport(min_second_difference=mn, max_second_difference=mx,
-                           verdict=verdict)
+    return ConvexityReport(min_second_difference=float(second.min()),
+                           max_second_difference=float(second.max()))
 
 
 def tail_composition(d1, params: ModelParams, topo: StarlikeTopology):

@@ -74,16 +74,16 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
         n1 = topo.branching[0]
         checks["hub_curve_convex_in_d1"] = check_convexity(
             lambda x: phi_hub_inverse(x, params, n1), (0.0, 1.0), 500
-        ).verdict == "convex"
+        ).convex
         checks["phi_hub_concave_in_d2"] = check_convexity(
             lambda t: phi_hub(t, params, n1), (0.0, 1.0), 500
-        ).verdict == "concave"
+        ).concave
         checks["phi_leaf_concave"] = check_convexity(
             lambda t: phi_leaf(t, params), (0.0, 1.0), 500
-        ).verdict == "concave"
+        ).concave
         checks["tail_composition_concave"] = check_convexity(
             lambda x: tail_composition(x, params, topo), (1e-3, 1.0), 500
-        ).verdict == "concave"
+        ).concave
 
         checks["region_slice_empty_at_z_zero"] = not region_slice(0.0, 41, params, topo).any()
         # pick a z strictly above phi_leaf(1) so the (1,1) corner qualifies

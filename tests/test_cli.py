@@ -132,8 +132,11 @@ def test_simulate_deterministic(tmp_path, capsys):
 
 def test_verify_default_passes(capsys):
     # At b = 0.158 the tail slope is near 0, where a relative test alone failed.
-    for b in ("0.15", "0.158"):
-        code, out, _ = run_cli(capsys, "verify", "--a", "0.5", "--b", b, "--branching", "6,10")
+    # At (6,10) b = 0.9 and (20,20) b = 0.6 the tail composition is flat to
+    # within 1e-12 in its second differences, which the concave check accepts.
+    for a, b, branching in (("0.5", "0.15", "6,10"), ("0.5", "0.158", "6,10"),
+                            ("0.5", "0.9", "6,10"), ("0.3", "0.6", "20,20")):
+        code, out, _ = run_cli(capsys, "verify", "--a", a, "--b", b, "--branching", branching)
         assert code == 0
         payload = json.loads(out)
         assert payload["all_passed"], payload["checks"]

@@ -34,7 +34,7 @@ def test_critical_b_validation():
     with pytest.raises(ValueError):
         critical_b(0.5, (6, 0))
     # A non-integral entry raises; (6.7, 10) must not be read as (6, 10).
-    for branching in [(6.7, 10), (6, 10.2)]:
+    for branching in [(6.7, 10), (6, 10.2), (6, float("nan")), (6, float("inf"))]:
         with pytest.raises(ValueError, match="integers"):
             critical_b(0.5, branching)
         with pytest.raises(ValueError, match="integers"):

@@ -139,13 +139,18 @@ def test_region_start_yields_monotone_decay_to_zero():
 
 def test_check_convexity_known_functions():
     convex = check_convexity(lambda t: t * t, (0.0, 1.0), 101)
-    assert convex.verdict == "convex"
+    assert convex.convex and not convex.concave
     concave = check_convexity(lambda t: -t * t, (0.0, 1.0), 101)
-    assert concave.verdict == "concave"
+    assert concave.concave and not concave.convex
     affine = check_convexity(lambda t: 0.3 * t + 1.0, (0.0, 1.0), 101)
-    assert affine.verdict == "convex"  # tie rule
+    assert affine.convex and affine.concave
     wiggle = check_convexity(lambda t: np.sin(20 * t), (0.0, 1.0), 101)
-    assert wiggle.verdict == "indeterminate"
+    assert not wiggle.convex and not wiggle.concave
+    # second differences of -2e-13, inside the 1e-12 tolerance: both facts
+    flat = check_convexity(lambda t: -1e-9 * t * t, (0.0, 1.0), 101)
+    assert flat.convex and flat.concave
+    half_nan = check_convexity(lambda t: np.where(t < 0.5, t, np.nan), (0.0, 1.0), 101)
+    assert not half_nan.convex and not half_nan.concave
 
 
 def test_check_convexity_validation():
@@ -160,11 +165,11 @@ def test_hub_curve_convexity_directions():
     # frame d2 versus d1, which is the frame used for intersection counting
     params = ModelParams(0.5, 0.08)
     forward = check_convexity(lambda t: phi_hub(t, params, 6), (0.0, 1.0), 2000)
-    assert forward.verdict == "concave"
+    assert forward.concave and not forward.convex
     flipped = check_convexity(lambda x: phi_hub_inverse(x, params, 6), (0.0, 1.0), 2000)
-    assert flipped.verdict == "convex"
+    assert flipped.convex
     leaf = check_convexity(lambda t: phi_leaf(t, params), (0.0, 1.0), 2000)
-    assert leaf.verdict == "concave"
+    assert leaf.concave and not leaf.convex
 
 
 def test_phi_hub_inverse_round_trip():
@@ -178,7 +183,7 @@ def test_tail_composition_concave():
     for b in (0.08, 0.125, 0.15):
         params = ModelParams(0.5, b)
         report = check_convexity(lambda x: tail_composition(x, params, TOPO), (1e-3, 1.0), 500)
-        assert report.verdict == "concave", f"b={b}"
+        assert report.concave and not report.convex, f"b={b}"
 
 
 def test_slopes_closed_form_values():

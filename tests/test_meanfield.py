@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import step_level3
 from starsis import (ModelParams, coalescence_gap, expand_state, iterate,
@@ -106,6 +108,20 @@ def test_full_vs_reduced_consistency():
             d = rng.random(topo.k)
             lhs = reduce_state(step_full(expand_state(d, topo), params, topo), topo)
             assert np.max(np.abs(lhs - step_level(d, params, topo))) <= 1e-14
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(branching=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       a=st.floats(0.01, 0.99), b=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_full_vs_reduced_consistency_over_the_domain(branching, a, b, seed):
+    # k = 2..7 levels, trees of at most 20k nodes, a (20, k) batch of states
+    topo = make_topology(tuple(branching))
+    assume(topo.node_count <= 20_000)
+    params = ModelParams(a, b)
+    d = np.random.default_rng(seed).random((20, topo.k))
+    lhs = reduce_state(step_full(expand_state(d, topo), params, topo), topo)
+    assert np.max(np.abs(lhs - step_level(d, params, topo))) <= 1e-14
 
 
 def test_coalescence_gap_definition():

@@ -16,7 +16,8 @@ def test_level_counts():
     assert topo.level_sizes == (1, 6, 60)
 
 
-@pytest.mark.parametrize("branching", [(), (0,), (3, -1), (6.7, 10.2), (6, np.float64(10.5))])
+@pytest.mark.parametrize("branching", [(), (0,), (3, -1), (6.7, 10.2), (6, np.float64(10.5)),
+                                       (6, float("nan")), (6, float("inf"))])
 def test_invalid_branching_rejected(branching):
     # A non-integral entry raises rather than being truncated to an integer.
     with pytest.raises(ValueError):

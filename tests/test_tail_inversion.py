@@ -168,13 +168,13 @@ def test_nan_is_rejected_as_a_value_error(fn, x):
 @pytest.mark.parametrize("b, branching", [(0.08, (6, 10)), (0.125, (6, 10)),
                                           (0.15, (6, 10)), (0.12, (6, 10, 4))])
 def test_check_convexity_verdicts_unchanged(b, branching):
-    # the verdicts the pointwise loop gave at these figure points
+    # the shapes the pointwise loop found at these figure points
     params = ModelParams(0.5, b)
     topo = make_topology(branching)
     tail = check_convexity(lambda x: tail_composition(x, params, topo), (1e-3, 1.0), 500)
-    assert tail.verdict == "concave"
+    assert tail.concave and not tail.convex
     hub = check_convexity(lambda x: phi_hub_inverse(x, params, branching[0]), (0.0, 1.0), 500)
-    assert hub.verdict == "convex"
+    assert hub.convex
 
 
 def test_check_convexity_rejects_non_elementwise_f():
