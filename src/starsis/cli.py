@@ -78,14 +78,17 @@ def _apply_config(args, argv):
     and argparse keeps the last value of a repeated flag, so flags given on
     the command line still win.  A non-null value goes in as its text, so
     argparse runs it through the flag's type like a command-line string: a
-    seed of 1.5 is a usage error (exit 2).  A key the command does not take
-    is rejected, and so is a null for a flag whose default is not None
-    (`{"a": null}`); a null for any other flag adds no token.
+    seed of 1.5 is a usage error (exit 2).  A file that is not a JSON
+    object is rejected, and so are a key the command does not take and a
+    null for a flag whose default is not None (`{"a": null}`); a null for
+    any other flag adds no token.
     """
     if args.config is None:
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
     defaults = vars(_parser().parse_args([args.command]))
     tokens = []
     for key, value in cfg.items():

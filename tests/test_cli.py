@@ -224,9 +224,11 @@ def test_config_flag_precedence(tmp_path, capsys):
     assert json.loads(out)["regime"] == "supercritical"
 
 
-def test_unknown_config_key_is_validation_error(tmp_path, capsys):
+@pytest.mark.parametrize("config", [{"nonsense": 1}, [1, 2], "x"],
+                         ids=["unknown_key", "list", "string"])
+def test_unknown_config_key_is_validation_error(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nonsense": 1}))
+    cfg.write_text(json.dumps(config))
     code, _, _ = run_cli(capsys, "threshold", "--config", str(cfg))
     assert code == 2
 
