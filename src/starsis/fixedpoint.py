@@ -174,9 +174,11 @@ def hub_gap(t, params: ModelParams, topo: StarlikeTopology):
     """Signed mismatch d1_curve - phi_hub(d2_curve) along the tail curve.
 
     Its roots on (0, 1] are the nontrivial fixed points of the reduced map.
+    Where the curve leaves [0, 1] (deep or wide trees) the gap is inf or NaN, without a warning.
     """
     d = tail_curve(t, params, topo)
-    return d[..., 0] - phi_hub(d[..., 1], params, topo.branching[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return d[..., 0] - phi_hub(d[..., 1], params, topo.branching[0])
 
 
 def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
@@ -272,57 +274,47 @@ def _refine(lo, hi, flo, fhi, d1, params, topo) -> np.ndarray:
 
 def _bracket_root(params: ModelParams, topo: StarlikeTopology,
                   t_start: float, grid_points: int, t_end: float):
-    """Locate the first sign change of hub_gap on a geometric grid of [t_start, t_end].
-
-    Returns (lo, hi), (t, t) at an exact zero, or None.
-    """
+    """(lo, hi) around the first sign change of hub_gap on a geometric grid of
+    [t_start, t_end]; (t, t) at an exact zero; None if there is neither."""
     ts = np.geomspace(t_start, t_end, grid_points)
     h = hub_gap(ts, params, topo)
-    finite = np.isfinite(h)
-    with np.errstate(invalid="ignore", over="ignore"):
-        change = finite[:-1] & finite[1:] & (h[:-1] * h[1:] < 0.0)
+    sign = np.sign(np.where(np.isfinite(h), h, 0.0))  # a non-finite value has no sign
+    change = sign[:-1] * sign[1:] < 0.0
     idx = np.flatnonzero(change | (h[1:] == 0.0))
     if idx.size == 0:
         return None
     i = idx[0]
-    if change[i]:
-        return ts[i], ts[i + 1]
-    return ts[i + 1], ts[i + 1]
+    return (ts[i] if change[i] else ts[i + 1]), ts[i + 1]
 
 
 def _bisect_root(params, topo, lo, hi) -> float:
-    """Bisect a sign change of hub_gap on [lo, hi] to a relative width of 4u."""
-    flo = float(hub_gap(lo, params, topo))
-    if flo == 0.0 or lo == hi:
-        return lo
+    """Narrow a sign change of hub_gap on [lo, hi] to a relative width of 4u.
+
+    Not bisection; the name stays only because the benchmark's tracer lists
+    it.  Passes of _bracket_root with enough points to reach that width,
+    capped at 4096, up to the first uncapped one; geomspace's rounding of
+    its points can leave up to about 9 ulps."""
     while hi - lo > 4 * _U * hi:
-        mid = 0.5 * (lo + hi)
-        fm = float(hub_gap(mid, params, topo))
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo = mid
-            flo = fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        points = int((hi - lo) / (4 * _U * hi)) + 2
+        bracket = _bracket_root(params, topo, lo, min(points, 4096), hi)
+        if bracket is None:
+            break
+        lo, hi = bracket
+        if points <= 4096:
+            break
+    return float(0.5 * (lo + hi))
 
 
 def _curve_root(params, topo, t0) -> Optional[float]:
     """The root of hub_gap next to t0: the narrowest interval t0 (1 -+ w), w
-    growing 16-fold from 2^-40, that brackets a sign change, then bisection.
+    growing 16-fold from 2^-40, that brackets a sign change, then narrowed.
     None if no such interval brackets one."""
     w = 2.0 ** -40
-    # On deep or wide trees the curve leaves [0, 1] and phi_hub of it
-    # overflows.  That gap is inf or NaN, which the bracket skips, so the
-    # warnings would only reach the caller's stderr.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while w < 1.0:
-            bracket = _bracket_root(params, topo, t0 * (1.0 - w), grid_points=16,
-                                    t_end=min(t0 * (1.0 + w), 1.0))
-            if bracket is not None:
-                return _bisect_root(params, topo, *bracket)
-            w *= 16.0
+    while w < 1.0:
+        bracket = _bracket_root(params, topo, t0 * (1.0 - w), 16, min(t0 * (1.0 + w), 1.0))
+        if bracket is not None:
+            return _bisect_root(params, topo, *bracket)
+        w *= 16.0
     return None
 
 

@@ -92,7 +92,7 @@ def run_property_suite(params: ModelParams, topo: StarlikeTopology, seed: int = 
             region_slice(z_corner, 41, params, topo)[-1, -1]
         )
 
-        ts = np.linspace(1e-3, 1.0, 2001)
+        ts = np.geomspace(1e-6, 1.0, 2001)
         hv = hub_gap(ts, params, topo)
         signs = np.sign(hv[np.isfinite(hv)])
         flips = int(np.sum(signs[:-1] * signs[1:] < 0.0))

@@ -148,11 +148,32 @@ def test_newton_point_is_its_own_newton_limit(branching):
         assert np.max(np.abs(again - point) / point) <= 8 * np.finfo(float).eps / 2
 
 
-def test_bisection_reaches_a_relative_width_of_4u():
+@pytest.mark.parametrize("half_width", [1e-3, 1e-1])
+def test_bisection_reaches_a_relative_width_of_4u(half_width):
+    # Grid passes of at most 4096 points: four at 1e-3, five at 1e-1.
     params, topo = ModelParams(0.5, 0.15), make_topology((6, 10))
     t_star = solve_fixed_point(params, topo).nontrivial_point[1]
-    root = fixedpoint._bisect_root(params, topo, t_star * (1 - 1e-3), t_star * (1 + 1e-3))
+    root = fixedpoint._bisect_root(params, topo, t_star * (1 - half_width),
+                                   t_star * (1 + half_width))
     assert abs(root - t_star) <= 1e-13 * t_star
+
+
+@pytest.mark.parametrize("a, r, branching", [(0.5, None, (6, 10)), (0.5, 1.01, (6, 10)),
+                                             (0.5, 1.1, (2, 2, 2, 2, 2, 2))])
+def test_curve_check_makes_few_hub_gap_calls(monkeypatch, a, r, branching):
+    # The curve check narrows its bracket by whole grid passes of hub_gap.
+    b = 0.15 if r is None else r * spectral_threshold(a, branching)
+    calls = []
+    hub_gap = fixedpoint.hub_gap
+
+    def counting(t, params, topo):
+        calls.append(t)
+        return hub_gap(t, params, topo)
+
+    monkeypatch.setattr(fixedpoint, "hub_gap", counting)
+    report = solve_fixed_point(ModelParams(a, b), make_topology(branching))
+    assert report.agreement <= 1e-13
+    assert 2 <= len(calls) <= 4
 
 
 @pytest.mark.parametrize("a, b, branching", [

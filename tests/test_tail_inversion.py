@@ -1,5 +1,7 @@
 """Batched tail-curve inversion and bracket search against their loop oracles and mpmath."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -263,3 +265,13 @@ def test_bracket_root_matches_loop_on_crafted_gaps(monkeypatch, h):
     got = fixedpoint._bracket_root(ModelParams(0.5, 0.15), make_topology((6, 10)),
                                    1e-9, h.size, 1.0)
     assert got == oracle_bracket(ts, h)
+
+
+@pytest.mark.parametrize("a, b, branching", [(0.5, 0.6, (24, 44, 40, 28)),
+                                             (0.1, 0.9, (50, 50, 50))])
+def test_hub_gap_is_quiet_where_the_curve_leaves_the_unit_interval(a, b, branching):
+    # phi_hub of a curve far outside [0, 1] overflows in its power.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hub_gap(np.geomspace(1e-6, 1.0, 200), ModelParams(a, b), make_topology(branching))
+    assert not np.all(np.isfinite(h))
