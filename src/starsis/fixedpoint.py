@@ -1,12 +1,13 @@
 """Thresholds, partial-fixed-point functions, tail curve and the dual solver."""
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .meanfield import _step_level, iterate
+from .meanfield import _map_levels, iterate
 from .model import ModelParams, StarlikeTopology, _as_branching
 
 
@@ -140,13 +141,19 @@ def tail_curve(t, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
     [0,1] (returned raw -- the root finder needs the sign).  Scalar t gives a
     (k,) vector, an array of shape (...,) gives (..., k).
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):  # also rejects NaN
-        raise ValueError("curve parameter t must lie in (0, 1]")
+    t_arr = _curve_parameter(t)
     # Deep or wide trees overflow toward the hub to inf, which the raw
     # result keeps.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _tail_curve(t_arr, params, topo)
+
+
+def _curve_parameter(t) -> np.ndarray:
+    """t as a float array, checked to lie in (0, 1]."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):  # also rejects NaN
+        raise ValueError("curve parameter t must lie in (0, 1]")
+    return t_arr
 
 
 def _tail_curve(t_arr, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
@@ -176,8 +183,9 @@ def hub_gap(t, params: ModelParams, topo: StarlikeTopology):
     Its roots on (0, 1] are the nontrivial fixed points of the reduced map.
     Where the curve leaves [0, 1] (deep or wide trees) the gap is inf or NaN, without a warning.
     """
-    d = tail_curve(t, params, topo)
+    t_arr = _curve_parameter(t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = _tail_curve(t_arr, params, topo)
         return d[..., 0] - phi_hub(d[..., 1], params, topo.branching[0])
 
 
@@ -275,8 +283,12 @@ def _refine(lo, hi, flo, fhi, d1, params, topo) -> np.ndarray:
 def _bracket_root(params: ModelParams, topo: StarlikeTopology,
                   t_start: float, grid_points: int, t_end: float):
     """(lo, hi) around the first sign change of hub_gap on a geometric grid of
-    [t_start, t_end]; (t, t) at an exact zero; None if there is neither."""
-    ts = np.geomspace(t_start, t_end, grid_points)
+    [t_start, t_end]; (t, t) at an exact zero; None if there is neither.
+
+    The grid is np.geomspace's own formula, point for point, without its
+    argument handling."""
+    ts = 10.0 ** np.linspace(np.log10(t_start), np.log10(t_end), grid_points)
+    ts[0], ts[-1] = t_start, t_end
     h = hub_gap(ts, params, topo)
     sign = np.sign(np.where(np.isfinite(h), h, 0.0))  # a non-finite value has no sign
     change = sign[:-1] * sign[1:] < 0.0
@@ -292,8 +304,8 @@ def _bisect_root(params, topo, lo, hi) -> float:
 
     Not bisection; the name stays only because the benchmark's tracer lists
     it.  Passes of _bracket_root with enough points to reach that width,
-    capped at 4096, up to the first uncapped one; geomspace's rounding of
-    its points can leave up to about 9 ulps."""
+    capped at 4096, up to the first uncapped one; the rounding of the
+    grid's points can leave up to about 9 ulps."""
     while hi - lo > 4 * _U * hi:
         points = int((hi - lo) / (4 * _U * hi)) + 2
         bracket = _bracket_root(params, topo, lo, min(points, 4096), hi)
@@ -321,41 +333,58 @@ def _curve_root(params, topo, t0) -> Optional[float]:
 def _log_residual(d, params, topo):
     """F(d) = -expm1(S(d)) - d and its tridiagonal Jacobian (diagonal, lower, upper).
 
-    S is the log of the map's survival product, a sum of log1p terms, so F
-    keeps relative accuracy at small d where 1 - (1 - a d)(...) cancels.
+    d is a list of k floats and the four results are lists too: on one small
+    state, math's functions cost less than numpy's per-call overhead.  S is
+    the log of the map's survival product, a sum of log1p terms, so F keeps
+    relative accuracy at small d where 1 - (1 - a d)(...) cancels.
     """
     a, b = params.a, params.b
-    n = np.asarray(topo.branching, dtype=float)
-    lb = np.log1p(-b * d)
-    s = np.log1p(-a * d)
-    s[1:] += lb[:-1]
-    s[:-1] += n * lb[1:]
-    e = np.exp(s)
-    gb = b / (1.0 - b * d)
-    diag = e * a / (1.0 - a * d) - 1.0
-    return -np.expm1(s) - d, diag, e[1:] * gb[:-1], e[:-1] * n * gb[1:]
+    n = topo.branching
+    lb = [math.log1p(-b * x) for x in d]
+    s = [math.log1p(-a * x) for x in d]
+    for i in range(1, len(d)):
+        s[i] += lb[i - 1]
+    for i in range(len(d) - 1):
+        s[i] += n[i] * lb[i + 1]
+    e = [math.exp(v) for v in s]
+    gb = [b / (1.0 - b * x) for x in d]
+    f = [-math.expm1(v) - x for v, x in zip(s, d)]
+    diag = [ei * a / (1.0 - a * x) - 1.0 for ei, x in zip(e, d)]
+    lower = [e[i + 1] * gb[i] for i in range(len(d) - 1)]
+    upper = [e[i] * n[i] * gb[i + 1] for i in range(len(d) - 1)]
+    return f, diag, lower, upper
 
 
-def _thomas(lower, diag, upper, rhs) -> np.ndarray:
+def _thomas(lower, diag, upper, rhs) -> list:
     """Solve a tridiagonal system by elimination without pivoting.
 
-    The Newton matrices here are negated M-matrices, for which this is stable.
+    Takes the diagonals and right-hand side as sequences of floats and
+    returns the solution as a list.  The Newton matrices here are negated
+    M-matrices, for which this is stable.
     """
-    low, dia, up, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    dia, r = list(diag), list(rhs)
     for i in range(1, len(dia)):
-        w = low[i - 1] / dia[i - 1]
-        dia[i] -= w * up[i - 1]
+        w = lower[i - 1] / dia[i - 1]
+        dia[i] -= w * upper[i - 1]
         r[i] -= w * r[i - 1]
     r[-1] /= dia[-1]
     for i in range(len(dia) - 2, -1, -1):
-        r[i] = (r[i] - up[i] * r[i + 1]) / dia[i]
-    return np.array(r)
+        r[i] = (r[i] - upper[i] * r[i + 1]) / dia[i]
+    return r
 
 
-def _newton(d, params, topo) -> np.ndarray:
-    """Newton on F from a state d above the fixed point d*.
+def _nan_or(pick, values) -> float:
+    """pick(values) for min or max, or NaN if any value is NaN, as np.min and
+    np.max give: Python's min and max keep or drop a NaN by its position."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else pick(values)
 
-    The map's Jacobian T'(d) = J + I decreases entrywise in d.  So from any d
+
+def _newton(d, params, topo) -> list:
+    """Newton on F from a state d above the fixed point d*, on a list of k floats.
+
+    d may be any sequence of k floats; the point is returned as a list.  The
+    map's Jacobian T'(d) = J + I decreases entrywise in d.  So from any d
     >= d* with F(d) <= 0 (every iterate from the all-ones state is one), each
     Newton step stays >= d* and descends, and -J is an M-matrix along the way.
     A step that would still leave (0, 1]^k in rounding is cut so that no
@@ -364,19 +393,20 @@ def _newton(d, params, topo) -> np.ndarray:
     to the threshold F is rounding noise at the float64 floor of about
     u / epsilon (epsilon = b / b_crit - 1) before a step gets near 4u.
     """
-    prev = np.inf
+    d = [float(x) for x in d]
+    prev = math.inf
     for _ in range(_NEWTON_MAX):
         f, diag, lower, upper = _log_residual(d, params, topo)
-        step = _thomas(lower, diag, upper, -f)
-        new = d + step
-        if not np.all((new > 0.0) & (new <= 1.0)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                theta = np.min(np.where(new <= 0.0, -0.5 * d / step,
-                                        np.where(new > 1.0, (1.0 - d) / step, 1.0)))
-            new = np.minimum(d + theta * step, 1.0)
-            if not np.all(new > 0.0):  # NaN from a singular Jacobian
+        step = _thomas(lower, diag, upper, [-v for v in f])
+        new = [x + s for x, s in zip(d, step)]
+        if not all(0.0 < y <= 1.0 for y in new):  # a NaN level fails too
+            theta = _nan_or(min, [-0.5 * x / s if y <= 0.0 else (1.0 - x) / s if y > 1.0
+                                  else 1.0 for x, s, y in zip(d, step, new)])
+            # The cap at 1 keeps a NaN, which the test below then rejects.
+            new = [1.0 if y > 1.0 else y for y in (x + theta * s for x, s in zip(d, step))]
+            if not all(y > 0.0 for y in new):  # NaN from a singular Jacobian
                 break
-        rel = float(np.max(np.abs(new - d) / new))
+        rel = max(abs(y - x) / y for x, y in zip(d, new))
         if prev < _STALL and rel >= prev:
             return d
         d = new
@@ -388,7 +418,8 @@ def _newton(d, params, topo) -> np.ndarray:
 
 
 def _residual(d, params, topo) -> float:
-    return float(np.max(np.abs(_step_level(d, params, topo) - d)))
+    """The sup-norm step |T(d) - d| of a list of k floats in [0, 1]."""
+    return _nan_or(max, [abs(y - x) for y, x in zip(_map_levels(d, params, topo), d)])
 
 
 def solve_fixed_point(params: ModelParams, topo: StarlikeTopology) -> FixedPointReport:
@@ -423,20 +454,22 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology) -> FixedPoint
     # and |J^-1| v for v >= 0 is one tridiagonal solve.
     f, diag, lower, upper = _log_residual(point, params, topo)
     c = 4 * (max(topo.branching) + 3)
-    error_bound = _thomas(lower, diag, upper, -(np.abs(f) + c * _U * point))
-    rel_bound = float(np.max(error_bound / point))
+    error_bound = _thomas(lower, diag, upper,
+                          [-(abs(v) + c * _U * x) for v, x in zip(f, point)])
+    rel_bound = _nan_or(max, [e / x for e, x in zip(error_bound, point)])
     if not rel_bound <= _MAX_REL_ERROR:  # NaN or inf fails too
         raise SolverInvariantError(
             f"fixed point error bound {rel_bound:g} relative exceeds {_MAX_REL_ERROR:g}; "
             f"a={params.a}, b={params.b}, branching={topo.branching}")
     iteration_residual = _residual(point, params, topo)
 
+    point, error_bound = np.array(point), np.array(error_bound)
     t_curve = _curve_root(params, topo, point[topo.k - 2])
     if t_curve is None:
         curve_root_residual = agreement = np.inf
     else:
         point_curve = tail_curve(t_curve, params, topo)
-        curve_root_residual = _residual(np.clip(point_curve, 0.0, 1.0), params, topo)
+        curve_root_residual = _residual(np.clip(point_curve, 0.0, 1.0).tolist(), params, topo)
         agreement = float(np.max(np.abs(point - point_curve)))
     return FixedPointReport(
         regime=regime,

@@ -18,7 +18,13 @@ def step_level(d, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
 
 
 def _step_level(d: np.ndarray, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
-    """step_level on a state already validated by as_level_state."""
+    """step_level on a state already validated by as_level_state.
+
+    A (k,) state steps on Python floats, which skips numpy's per-call cost
+    on 0-d values; a batch steps on its level arrays.
+    """
+    if d.ndim == 1:
+        return np.array(list(_map_levels(d.tolist(), params, topo)))
     out = np.empty_like(d)
     for i, level in enumerate(_map_levels([d[..., m] for m in range(topo.k)], params, topo)):
         out[..., i] = level
@@ -29,10 +35,11 @@ def _map_levels(levels, params: ModelParams, topo: StarlikeTopology):
     """Yield the k levels of the map's image of k level arrays, hub first.
 
     The levels broadcast against each other, so a grid may pass each level
-    along its own axis.  Each power is taken on its own level's array: on a
-    (k,) state that is a scalar power, which can differ in the last ulp from
-    a power taken on an array, so vectorising over the levels would change
-    iterate's output.
+    along its own axis.  Each power is taken on its own level: on a (k,)
+    state the levels are Python floats, whose power is libm's pow, as a
+    numpy scalar power is, so iterate's bytes do not follow numpy's
+    dispatch.  A power taken on an array can differ from it in the last ulp,
+    so vectorising over the levels would change iterate's output.
     """
     a, b = params.a, params.b
     k = topo.k
@@ -104,7 +111,7 @@ def iterate(d0, params: ModelParams, topo: StarlikeTopology, tol: float = 1e-12,
     steps = 0
     while steps < max_iter:
         nxt = _step_level(d, params, topo)
-        res = float(np.max(np.abs(nxt - d)))
+        res = float(np.abs(nxt - d).max())
         converged = res <= tol
         if res == 0.0:  # a step that changes nothing is not counted
             break

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 
 from starsis.fixedpoint import phi_hub, phi_leaf, phi_middle
+from starsis.meanfield import _map_levels
 from starsis.model import ModelParams, StarlikeTopology, as_level_state
 
 
@@ -23,6 +24,16 @@ def step_level3(d, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def step_level_numpy_scalars(d, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
+    """The level map on one (k,) state with each level an np.float64 scalar.
+
+    This is how step_level evaluated a single state before it ran on Python
+    floats: the same kernel, fed numpy scalars instead.
+    """
+    d = as_level_state(d, topo)
+    return np.array([float(v) for v in _map_levels([d[m] for m in range(topo.k)], params, topo)])
 
 
 def region_one_bounds(levels, params: ModelParams, topo: StarlikeTopology):

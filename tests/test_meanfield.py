@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import step_level3
+from oracles import step_level3, step_level_numpy_scalars
 from starsis import (ModelParams, coalescence_gap, expand_state, iterate,
                      make_topology, reduce_state, step_full, step_level)
 
@@ -44,6 +44,21 @@ def test_step_level_matches_scalar_formula():
     assert out[0] == pytest.approx(1 - 0.5 * 0.85**6, abs=1e-16)
     assert out[1] == pytest.approx(1 - (1 - a) * (1 - b) * (1 - b) ** n2, abs=1e-16)
     assert out[2] == pytest.approx(1 - (1 - a) * (1 - b), abs=1e-16)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(branching=st.lists(st.integers(1, 50), min_size=1, max_size=7),
+       a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       b=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       d=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_kernel_identity_one_state_on_floats_equals_numpy_scalars(branching, a, b, d):
+    # k = 2..8: a (k,) state steps on Python floats, whose power is libm's
+    # pow, as numpy's scalar power is; the bytes must not move.
+    topo = make_topology(tuple(branching))
+    params = ModelParams(a, b)
+    d = np.array(d[:topo.k])
+    assert step_level(d, params, topo).tobytes() == step_level_numpy_scalars(
+        d, params, topo).tobytes()
 
 
 def test_step_full_all_zero():

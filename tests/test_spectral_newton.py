@@ -1,5 +1,8 @@
 """Spectral threshold and the Newton route of solve_fixed_point against an mpmath oracle."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -231,3 +234,88 @@ def test_a_rejected_solve_raises_and_the_cli_exits_3(monkeypatch, capsys, fault,
         solve_fixed_point(ModelParams(0.5, 0.15), make_topology((6, 10)))
     assert main(["fixedpoint", "--a", "0.5", "--b", "0.15", "--branching", "6,10"]) == 3
     assert message in capsys.readouterr().err
+
+
+def _nan_in_bound(level):
+    def fault(monkeypatch):
+        # Newton runs first; the next tridiagonal solve is the error bound's.
+        newton, thomas = fixedpoint._newton, fixedpoint._thomas
+        solved = []
+
+        def flag_newton(*args):
+            point = newton(*args)
+            solved.append(True)
+            return point
+
+        def nan_after_newton(*args):
+            x = thomas(*args)
+            if solved:
+                x[level] = math.nan
+            return x
+
+        monkeypatch.setattr(fixedpoint, "_newton", flag_newton)
+        monkeypatch.setattr(fixedpoint, "_thomas", nan_after_newton)
+    return fault
+
+
+def _nan_in_step(level):
+    def fault(monkeypatch):
+        # NaN in Newton's last step, where the other levels' steps would
+        # pass its stop test; the error bound's solve is left alone.
+        newton, thomas = fixedpoint._newton, fixedpoint._thomas
+        solving = []
+
+        def flag_newton(*args):
+            solving.append(True)
+            try:
+                return newton(*args)
+            finally:
+                solving.clear()
+
+        def nan_last_step(*args):
+            x = thomas(*args)
+            if solving and max(abs(v) for v in x) <= 1e-15:
+                x[level] = math.nan
+            return x
+
+        monkeypatch.setattr(fixedpoint, "_newton", flag_newton)
+        monkeypatch.setattr(fixedpoint, "_thomas", nan_last_step)
+    return fault
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("fault, message", [(_nan_in_bound, "error bound"),
+                                            (_nan_in_step, "Newton did not converge")])
+def test_a_nan_past_the_hub_level_raises(monkeypatch, fault, message, level):
+    # Python's max and min keep a NaN only in first place; the solve must
+    # reject one at any level, as np.max and np.minimum did.
+    fault(level)(monkeypatch)
+    with pytest.raises(SolverInvariantError, match=message):
+        solve_fixed_point(ModelParams(0.5, 0.15), make_topology((6, 10)))
+
+
+# (a, b, branching) above the threshold, with a and b exact doubles: k = 2..8,
+# r = b / b_spec from 1 + 1e-8 up to points with a level that rounds to 1,
+# and points the curve check misses.
+PINNED_SOLVES = [
+    (0.5, 0.15, (6, 10)), (0.5, 0.12500000125, (6, 10)), (0.5, 0.126, (6, 10)),
+    (0.5, 0.999, (6, 10)), (0.1, 0.9, (2, 50)), (0.1, 0.124807545398752, (2, 50)),
+    (0.9, 0.02080125735844609, (50, 2)), (0.25, 0.6, (3,)), (0.6, 0.2, (3, 4, 5)),
+    (0.5, 0.2, (6, 10, 4)), (0.5, 0.11556933969135035, (6, 10, 4)), (0.5, 0.9, (6, 10, 4)),
+    (0.5, 0.3, (2, 2, 2, 2, 2, 2)), (0.3, 0.2678784053343468, (2, 2, 2, 2, 2, 2)),
+    (0.7, 0.07745974438381527, (5, 5, 5, 5)), (0.5, 0.061827074920300075, (30, 30, 10)),
+    (0.2, 0.21463253543247732, (10, 3, 3, 3, 2)), (0.8, 0.72, (32, 26, 14, 16, 3, 4)),
+    (0.5, 0.6, (24, 44, 40, 28)), (0.05, 0.7, (1, 1, 1, 1, 1, 1, 1)),
+]
+# sha256 of nontrivial_point.tobytes() + error_bound.tobytes() over the cases
+# above, taken with numpy 2.4.6.  The solve runs on Python floats and math's
+# libm functions, so one digest holds with and without AVX-512.
+PINNED_SOLVES_SHA256 = "5a235ea7474156d324034977309dab4491d4b5fe36dd275fe3a1dd9504e32178"
+
+
+def test_pinned_solve_bytes():
+    digest = hashlib.sha256()
+    for a, b, branching in PINNED_SOLVES:
+        report = solve_fixed_point(ModelParams(a, b), make_topology(branching))
+        digest.update(report.nontrivial_point.tobytes() + report.error_bound.tobytes())
+    assert digest.hexdigest() == PINNED_SOLVES_SHA256

@@ -249,6 +249,25 @@ def test_bracket_root_matches_loop(a, b, branching):
         ts, fixedpoint.hub_gap(ts, params, topo))
 
 
+def test_bracket_root_grid_is_geomspace(monkeypatch):
+    # The grid skips geomspace's argument handling but not a bit of its points.
+    grids = []
+
+    def record(t, params, topo):
+        grids.append(t)
+        return -t  # no sign change
+
+    monkeypatch.setattr(fixedpoint, "hub_gap", record)
+    params, topo = ModelParams(0.5, 0.15), make_topology((6, 10))
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        lo = 10.0 ** rng.uniform(-16.0, -1e-3)
+        hi = min(lo * 10.0 ** rng.uniform(1e-15, 16.0), 1.0)
+        n = int(rng.integers(2, 4097))
+        assert fixedpoint._bracket_root(params, topo, lo, n, hi) is None
+        assert grids[-1].tobytes() == np.geomspace(lo, hi, n).tobytes(), (lo, hi, n)
+
+
 @pytest.mark.parametrize("h", [
     [np.nan, -1.0, 2.0, 3.0],         # sign change after a non-finite head
     [-1.0, np.inf, 2.0, -3.0],        # an infinity blocks the first change
