@@ -1,6 +1,7 @@
 """Thresholds, partial-fixed-point functions, tail curve and the dual solver."""
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -76,13 +77,19 @@ def spectral_threshold(a: float, branching) -> float:
     rho(M) is the largest eigenvalue of M's symmetric form sqrt(M * M.T),
     the tridiagonal matrix with off-diagonals sqrt(n_m).  For k <= 3 it is
     sqrt(n1 + n2) exactly, and critical_b's value is returned bit for bit
-    (eigvalsh can differ from it in the last ulp).
+    (eigvalsh can differ from it in the last ulp).  The branching is read
+    once, so any iterable serves, and rho(M) is computed once per vector.
     """
-    bc = critical_b(a, branching)
-    if len(tuple(branching)) <= 2:
-        return bc
+    branching = _as_branching(branching)
+    bc = critical_b(a, branching)  # checks a too
+    return bc if len(branching) <= 2 else (1.0 - a) / _spectral_radius(branching)
+
+
+@functools.lru_cache(maxsize=256)
+def _spectral_radius(branching: tuple) -> float:
+    """rho(M) for a validated branching tuple, by eigvalsh of sqrt(M * M.T)."""
     m = level_matrix(branching)
-    return (1.0 - a) / np.linalg.eigvalsh(np.sqrt(m * m.T))[-1]
+    return np.linalg.eigvalsh(np.sqrt(m * m.T))[-1]
 
 
 def classify_regime(params: ModelParams, topo: StarlikeTopology, eq_tol: float = 0.0) -> Regime:
@@ -139,54 +146,50 @@ def tail_curve(t, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
     Levels 2..k satisfy their partial-fixed-point equations exactly; the hub
     value is whatever the chain of solved equations produces and may leave
     [0,1] (returned raw -- the root finder needs the sign).  Scalar t gives a
-    (k,) vector, an array of shape (...,) gives (..., k).
+    (k,) vector, an array of shape (...,) gives (..., k).  Raises ValueError
+    unless every t lies in (0, 1].
     """
-    t_arr = _curve_parameter(t)
-    # Deep or wide trees overflow toward the hub to inf, which the raw
-    # result keeps.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _tail_curve(t_arr, params, topo)
-
-
-def _curve_parameter(t) -> np.ndarray:
-    """t as a float array, checked to lie in (0, 1]."""
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):  # also rejects NaN
         raise ValueError("curve parameter t must lie in (0, 1]")
-    return t_arr
+    return _tail_curve(t_arr, params, topo)
 
 
-def _tail_curve(t_arr, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
-    """tail_curve on a float array of parameters in (0, 1], unchecked.
-
-    The caller sets np.errstate for the walk toward the hub.
-    """
+def _tail_curve(t, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
+    """tail_curve on floats in (0, 1], unchecked.  Deep or wide trees overflow
+    toward the hub to inf or NaN, which the raw result keeps without a warning."""
     a, b = params.a, params.b
     k = topo.k
     n = topo.branching
-    d = np.empty(t_arr.shape + (k,))
-    d[..., k - 2] = t_arr
-    d[..., k - 1] = phi_leaf(t_arr, params)
+    d = np.empty(np.shape(t) + (k,))
+    d[..., k - 2] = t
+    d[..., k - 1] = phi_leaf(t, params)
     # Solve each middle equation for the level above, walking toward the hub.
-    for m in range(k - 1, 1, -1):
-        dm = d[..., m - 1]
-        dnext = d[..., m]
-        d[..., m - 2] = 1.0 / b + (dm - 1.0) / (
-            b * (1.0 - a * dm) * (1.0 - b * dnext) ** n[m - 1]
-        )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for m in range(k - 1, 1, -1):
+            dm = d[..., m - 1]
+            dnext = d[..., m]
+            d[..., m - 2] = 1.0 / b + (dm - 1.0) / (
+                b * (1.0 - a * dm) * (1.0 - b * dnext) ** n[m - 1])
     return d
+
+
+def _hub_of(d, params: ModelParams, topo: StarlikeTopology):
+    """phi_hub at the d2 of raw tail-curve states d (..., k); where d2 leaves
+    [0, 1] its power overflows, and the inf or NaN is kept without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return phi_hub(d[..., 1], params, topo.branching[0])
 
 
 def hub_gap(t, params: ModelParams, topo: StarlikeTopology):
     """Signed mismatch d1_curve - phi_hub(d2_curve) along the tail curve.
 
     Its roots on (0, 1] are the nontrivial fixed points of the reduced map.
-    Where the curve leaves [0, 1] (deep or wide trees) the gap is inf or NaN, without a warning.
+    t is checked as tail_curve checks it.  Where the curve leaves [0, 1]
+    (deep or wide trees) the gap is inf or NaN, without a warning.
     """
-    t_arr = _curve_parameter(t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = _tail_curve(t_arr, params, topo)
-        return d[..., 0] - phi_hub(d[..., 1], params, topo.branching[0])
+    d = tail_curve(t, params, topo)
+    return d[..., 0] - _hub_of(d, params, topo)
 
 
 def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology) -> np.ndarray:
@@ -215,7 +218,7 @@ def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology) -> np.nda
     while grid[-1] < 1.0:
         grid.append(min(grid[-1] * 1.5, 1.0))
     grid = np.array(grid)
-    curve = tail_curve(grid, params, topo)[:, 0]
+    curve = _tail_curve(grid, params, topo)[:, 0]
     start = curve[0] - d1 >= 0.0
     if np.any(start):
         raise SolverInvariantError(
@@ -229,10 +232,9 @@ def tail_state_of_hub(d1, params: ModelParams, topo: StarlikeTopology) -> np.nda
     missing = first >= finite_end
     if np.any(missing):
         raise SolverInvariantError(f"hub inversion: no bracket for d1={d1[missing][0]}")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = _refine(grid[first], grid[first + 1], curve[first] - d1,
-                    curve[first + 1] - d1, d1, params, topo)
-        return _tail_curve(t, params, topo).reshape(shape + (topo.k,))
+    t = _refine(grid[first], grid[first + 1], curve[first] - d1,
+                curve[first + 1] - d1, d1, params, topo)
+    return _tail_curve(t, params, topo).reshape(shape + (topo.k,))
 
 
 def _refine(lo, hi, flo, fhi, d1, params, topo) -> np.ndarray:
@@ -243,9 +245,10 @@ def _refine(lo, hi, flo, fhi, d1, params, topo) -> np.ndarray:
     its value halved.  The secant point is kept at least _STRADDLE from each
     end, so a root next to one end is straddled instead of crept up on.  A
     secant point that is not finite or not inside the bracket, or three
-    steps that have not halved the width, give the midpoint instead.  A NaN
-    value counts as not below d1.  Each target's steps use only its own
-    values, so a batch row equals its single call bit for bit.
+    steps that have not halved the width, give the midpoint instead: next
+    to a pole of the curve, values of +-inf give a NaN secant, without a
+    warning.  A NaN value counts as not below d1.  Each target's steps use
+    only its own values, so a batch row equals its single call bit for bit.
     """
     t = np.empty(lo.shape)
     idx = np.arange(lo.size)  # every grid bracket is wider than _T_WIDTH
@@ -254,7 +257,8 @@ def _refine(lo, hi, flo, fhi, d1, params, topo) -> np.ndarray:
     last_below = np.full(idx.size, 2, dtype=np.int8)  # no step yet
     while idx.size:
         # flo / (flo - fhi) rounds into [0, 1], so finite values give x in [lo, hi]
-        x = lo + width * (flo / (flo - fhi))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = lo + width * (flo / (flo - fhi))
         secant = (x >= lo) & (x <= hi) & (stalled < 3)
         x = np.where(secant, np.clip(x, lo + _STRADDLE, hi - _STRADDLE), 0.5 * (lo + hi))
         fx = _tail_curve(x, params, topo)[:, 0] - d1
@@ -468,7 +472,7 @@ def solve_fixed_point(params: ModelParams, topo: StarlikeTopology) -> FixedPoint
     if t_curve is None:
         curve_root_residual = agreement = np.inf
     else:
-        point_curve = tail_curve(t_curve, params, topo)
+        point_curve = _tail_curve(t_curve, params, topo)
         curve_root_residual = _residual(np.clip(point_curve, 0.0, 1.0).tolist(), params, topo)
         agreement = float(np.max(np.abs(point - point_curve)))
     return FixedPointReport(

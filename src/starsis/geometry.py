@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import _U, phi_hub, tail_curve, tail_state_of_hub
+from .fixedpoint import _U, _hub_of, _tail_curve, phi_hub, tail_state_of_hub
 from .meanfield import _map_levels
 from .model import ModelParams, StarlikeTopology, as_level_state
 
@@ -132,7 +132,7 @@ def slopes_at_zero(params: ModelParams, topo: StarlikeTopology) -> SlopeReport:
     n1, n2 = topo.branching
     h = 2.0 ** -18  # near u^(1/3) = 2^-17.7, where rounding ~u/h and truncation ~h^2 balance
     ts = np.array([h, 2.0 * h, 4.0 * h])
-    f1, f2, f4 = np.array([phi_hub(ts, params, n1), tail_curve(ts, params, topo)[:, 0]]).T
+    f1, f2, f4 = np.array([phi_hub(ts, params, n1), _tail_curve(ts, params, topo)[:, 0]]).T
     fd = 2.0 * f1 / h - f2 / (2.0 * h)
     rho, scale = (max(n1, n2) + 8) * _U, np.array([1.0 / (1.0 - a), 1.0 / b])
     err = 5.0 * rho * scale / h + 2.0 * abs(fd - f2 / h + f4 / (4.0 * h)) / 3.0
@@ -153,9 +153,5 @@ def sample_curves(params: ModelParams, topo: StarlikeTopology, grid_n: int) -> n
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     ts = np.linspace(1e-3, 1.0, grid_n)
-    d = tail_curve(ts, params, topo)
-    # Where the tail curve leaves [0, 1], phi_hub of it overflows; the table
-    # keeps those raw inf or NaN values without printing numpy warnings.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        hub_curve = phi_hub(d[:, 1], params, topo.branching[0])
-    return np.column_stack([ts, hub_curve, d[:, 0], d[:, 1]])
+    d = _tail_curve(ts, params, topo)
+    return np.column_stack([ts, _hub_of(d, params, topo), d[:, 0], d[:, 1]])

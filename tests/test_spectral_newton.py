@@ -71,6 +71,41 @@ def test_spectral_threshold_from_k4_on(branching):
     assert np.max(np.abs(np.linalg.eigvals(step))) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_spectral_radius_is_computed_once_per_branching(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return eigvalsh(x)
+
+    rng = np.random.default_rng(23)
+    pool = [tuple(int(n) for n in rng.integers(1, 51, size=rng.integers(3, 8)))
+            for _ in range(120)]
+    draws = [pool[i] for i in rng.integers(0, len(pool), size=200)]
+    fixedpoint._spectral_radius.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for branching in draws:
+        a = float(rng.uniform(0.01, 0.99))
+        m = level_matrix(branching)
+        fresh = (1.0 - a) / eigvalsh(np.sqrt(m * m.T))[-1]
+        assert spectral_threshold(a, branching) == fresh, branching
+    assert len(calls) == len(set(draws))
+    fixedpoint._spectral_radius.cache_clear()
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_threshold_reads_a_one_shot_branching_once(k):
+    branching = (6, 10, 4, 3, 2, 5)[:k - 1]
+    forms = [lambda: iter(branching), lambda: (n for n in branching),
+             lambda: map(int, branching), lambda: branching, lambda: list(branching),
+             lambda: np.array(branching)]
+    expected = spectral_threshold(0.5, branching), critical_b(0.5, branching)
+    for form in forms:
+        got = spectral_threshold(0.5, form()), critical_b(0.5, form())
+        assert got == expected, form()
+
+
 def test_level_matrix_rows():
     assert level_matrix((6, 10)).tolist() == [[0, 6, 0], [1, 0, 10], [0, 1, 0]]
 

@@ -289,8 +289,33 @@ def test_bracket_root_matches_loop_on_crafted_gaps(monkeypatch, h):
 @pytest.mark.parametrize("a, b, branching", [(0.5, 0.6, (24, 44, 40, 28)),
                                              (0.1, 0.9, (50, 50, 50))])
 def test_hub_gap_is_quiet_where_the_curve_leaves_the_unit_interval(a, b, branching):
-    # phi_hub of a curve far outside [0, 1] overflows in its power.
+    # phi_hub of a curve far outside [0, 1] overflows in its power; on the
+    # four-level tree the curve's own walk toward the hub overflows too.
+    ts = np.geomspace(1e-6, 1.0, 200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h = hub_gap(np.geomspace(1e-6, 1.0, 200), ModelParams(a, b), make_topology(branching))
+        h = hub_gap(ts, ModelParams(a, b), make_topology(branching))
+        d = tail_curve(ts, ModelParams(a, b), make_topology(branching))
     assert not np.all(np.isfinite(h))
+    assert d.shape == (200, len(branching) + 1)
+
+
+def test_hub_inversion_is_quiet_where_its_expansion_grid_meets_a_nonfinite_hub():
+    params, topo = ModelParams(0.5, 0.6), make_topology((24, 44, 40, 28))
+    targets = np.array([0.5, 0.99])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        end = tail_curve(1.0, params, topo)
+        d = tail_state_of_hub(targets, params, topo)
+    assert not np.isfinite(end[0])
+    assert np.all(np.abs(d[:, 0] - targets) <= 1e-9)
+
+
+def test_hub_inversion_is_quiet_next_to_a_pole_of_the_curve():
+    # Brackets here close on a pole, where the curve's values at both ends
+    # reach -inf and +inf and the secant point is NaN.
+    params, topo = ModelParams(0.1, 0.15), make_topology((3, 25, 6, 38, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = tail_state_of_hub(np.linspace(1e-3, 1.0, 200), params, topo)
+    assert d.shape == (200, 6)
